@@ -1,18 +1,48 @@
-"""Backward rule application and forward step checking.
+"""One rule table for the 28 sequent calculi, serving backward search and
+forward step checking.
+
+Each rule is written once, as a `Rule` in `RULES`.  Its builder reads a
+sequent classified once (`Shape`) and yields every instance of the
+rule's schema with that conclusion: premises and principal formulas.
+
+The constructive calculi WM ... WKT are the single-succedent restriction
+of the classical calculi M ... KT.  On a conclusion with at most one
+succedent formula a classical modal rule yields premises with at most
+one, and each constructive modal rule is the classical rule of the same
+name without the leading "i", except that
+- iKdia and iCD keep the instances of Kdia and CD whose premise has a
+  succedent formula;
+- idualandK and iCDbox are Kdia and CD at the conclusion with its
+  succedent weakened away, and iCDbox needs a box;
+- iTdia replaces its principal by the subformula, where Tdia adds it.
+Of the propositional rules only Limp and Ror differ by mode.  The
+schemata follow Lavendhomme & Lucas (Studia Logica 2000) and Orlandelli
+(Logic and Logical Philosophy 2021).
 
 Proof search treats sequent sides as duplicate-free sets: contraction is
 height-preserving admissible in every calculus here, so a set-based
 derivation converts to a literal multiset derivation and back.  Backward
 application of the box-absorbing rules uses every boxed formula of the
 relevant side at once ("use all boxes"); admissible weakening makes the
-partial-selection instances redundant.  `check_step`, in contrast,
-accepts any instance of the rule schema, not just the ones search emits.
+partial-selection instances redundant.
+
+`check_step`, in contrast, accepts any instance of the rule schema
+modulo normalization: it rebuilds the premises from the conclusion and
+compares them side by side as sets, in any order and whatever their
+mode.  The propositional and T rules keep the whole conclusion as
+context.  The other modal rules keep none, so the conclusion may hold
+any other formulas: their premises are rebuilt from the conclusion cut
+down to the formulas []A and <>A whose A occurs in a premise on the same
+side.  That accepts partial selections of boxes and succedent diamonds,
+and a principal both boxed and diamonded.  Each formula of the cut-down
+conclusion is listed twice, so that one formula may fill two principal
+positions by contraction, as in Dbox from A |- to []A |-.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 from .logics import Logic
 from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent, norm_side
@@ -27,640 +57,342 @@ class RuleInstance:
     principal: Tuple[Formula, ...]
 
 
-# Rules that search applies eagerly, committing to the first applicable
-# instance: they are height-preserving invertible in their calculi.
-INVERTIBLE_RULES = {
-    CONSTRUCTIVE: ("Lbot", "init", "Land", "Lor", "Rand", "Rimp", "iTbox"),
-    CLASSICAL: ("Lbot", "init", "Land", "Lor", "Limp",
-                "Rand", "Ror", "Rimp", "Tbox", "Tdia"),
-}
+class Shape:
+    """A sequent classified once for every rule."""
 
-# Rules whose premise is not smaller than the conclusion; only these can
-# produce branch repetitions, so only they consult the ancestor chain.
-COPYING_RULES = {"Limp", "iTbox", "Tbox", "Tdia"}
+    __slots__ = ("mode", "ant", "suc", "ant_set", "boxes", "dias",
+                 "sboxes", "sdias", "box_subs", "sdia_subs")
+
+    def __init__(self, mode: str, ant, suc):
+        self.mode, self.ant, self.suc = mode, ant, suc
+        self.ant_set = set(ant)
+        self.boxes = [f for f in ant if f.kind == BOX]
+        self.dias = [f for f in ant if f.kind == DIA]
+        self.sboxes = [f for f in suc if f.kind == BOX]
+        self.sdias = [f for f in suc if f.kind == DIA]
+        self.box_subs = [f.left for f in self.boxes]
+        self.sdia_subs = [f.left for f in self.sdias]
+
+    def antecedent(self) -> "Shape":
+        """The same sequent with its succedent weakened away."""
+        return Shape(self.mode, self.ant, ())
 
 
-def _seq(mode, ant, suc):
-    return Sequent(norm_side(ant), norm_side(suc), mode)
+# A builder yields (premises, principal) pairs, each premise an
+# (antecedent, succedent) pair of formula sequences, not yet normalized.
+Builder = Callable[[Shape], Iterator[Tuple[list, tuple]]]
+
+
+@dataclass(frozen=True)
+class Rule:
+    name: str
+    build: Builder
+    # The modes in which the rule is height-preserving invertible, so that
+    # search may commit to its first unblocked instance.
+    invertible: Tuple[str, ...] = ()
+    # The premises keep the conclusion's side formulas as context.
+    contextual: bool = False
 
 
 def _without(side, f):
     return tuple(g for g in side if g is not f)
 
 
+# --- closure and propositional rules -------------------------------------
+
+def _lbot(c):
+    if bot in c.ant_set:
+        yield [], (bot,)
+
+
+def _init(c):
+    for f in c.suc:
+        if f.kind == ATOM and f in c.ant_set:
+            yield [], (f,)
+
+
+def _land(c):
+    for f in c.ant:
+        if f.kind == AND:
+            yield [(_without(c.ant, f) + (f.left, f.right), c.suc)], (f,)
+
+
+def _lor(c):
+    for f in c.ant:
+        if f.kind == OR:
+            rest = _without(c.ant, f)
+            yield [(rest + (f.left,), c.suc), (rest + (f.right,), c.suc)], (f,)
+
+
+def _limp(c):
+    for f in c.ant:
+        if f.kind == IMP:
+            rest = _without(c.ant, f)
+            if c.mode == CONSTRUCTIVE:
+                # The principal stays in the left premise.
+                left = (c.ant, (f.left,))
+            else:
+                left = (rest, c.suc + (f.left,))
+            yield [left, (rest + (f.right,), c.suc)], (f,)
+
+
+def _rand(c):
+    for f in c.suc:
+        if f.kind == AND:
+            rest = _without(c.suc, f)
+            yield [(c.ant, rest + (f.left,)), (c.ant, rest + (f.right,))], (f,)
+
+
+def _ror(c):
+    for f in c.suc:
+        if f.kind == OR:
+            if c.mode == CONSTRUCTIVE:
+                # One instance per disjunct; a genuine choice point.
+                yield [(c.ant, (f.left,))], (f, f.left)
+                yield [(c.ant, (f.right,))], (f, f.right)
+            else:
+                yield [(c.ant, _without(c.suc, f) + (f.left, f.right))], (f,)
+
+
+def _rimp(c):
+    for f in c.suc:
+        if f.kind == IMP:
+            yield [(c.ant + (f.left,), _without(c.suc, f) + (f.right,))], (f,)
+
+
+# --- T rules: the premise is the conclusion plus a copy -----------------
+
+def _tbox(c):
+    for f in c.boxes:
+        yield [(c.ant + (f.left,), c.suc)], (f,)
+
+
+def _tdia(c):
+    for t in c.sdias:
+        yield [(c.ant, c.suc + (t.left,))], (t,)
+
+
+def _itdia(c):
+    for t in c.sdias:
+        yield [(c.ant, (t.left,))], (t,)
+
+
+# --- modal rules without context ----------------------------------------
+
+def _mbox(c):
+    for f in c.boxes:
+        for t in c.sboxes:
+            yield [((f.left,), (t.left,))], (t, f)
+
+
+def _mdia(c):
+    for f in c.dias:
+        for t in c.sdias:
+            yield [((f.left,), (t.left,))], (t, f)
+
+
+def _d(c):
+    for f in c.boxes:
+        for t in c.sdias:
+            yield [((f.left,), (t.left,))], (t, f)
+
+
+def _dualand_m(c):
+    for fb in c.boxes:
+        for fd in c.dias:
+            yield [((fb.left, fd.left), ())], (fb, fd)
+
+
+def _dualor_m(c):
+    for tb in c.sboxes:
+        for td in c.sdias:
+            yield [((), (tb.left, td.left))], (tb, td)
+
+
+def _dbox(c):
+    for i, f in enumerate(c.boxes):
+        for g in c.boxes[i + 1:]:
+            yield [((f.left, g.left), ())], (f, g)
+
+
+def _ddia(c):
+    for i, t in enumerate(c.sdias):
+        for u in c.sdias[i + 1:]:
+            yield [((), (t.left, u.left))], (t, u)
+
+
+def _nbox(c):
+    for t in c.sboxes:
+        yield [((), (t.left,))], (t,)
+
+
+def _pdia(c):
+    for t in c.sdias:
+        yield [((), (t.left,))], (t,)
+
+
+def _ndia(c):
+    for f in c.dias:
+        yield [((f.left,), ())], (f,)
+
+
+def _pbox(c):
+    for f in c.boxes:
+        yield [((f.left,), ())], (f,)
+
+
+# --- box-absorbing rules: all antecedent boxes, succedent diamonds ------
+
+def _kbox(c):
+    for t in c.sboxes:
+        yield [(c.box_subs, [t.left] + c.sdia_subs)], (t, *c.boxes, *c.sdias)
+
+
+def _cbox(c):
+    if c.boxes:
+        yield from _kbox(c)
+
+
+def _kdia(c):
+    for f in c.dias:
+        yield [(c.box_subs + [f.left], c.sdia_subs)], (*c.sdias, f, *c.boxes)
+
+
+def _cdia(c):
+    for f in c.dias:
+        for t in c.sdias:
+            others = [g for g in c.sdias if g is not t]
+            yield [(c.box_subs + [f.left], c.sdia_subs)], (t, f, *c.boxes, *others)
+
+
+def _dualand_c(c):
+    if c.boxes:
+        yield from _kdia(c.antecedent())
+
+
+def _dualor_c(c):
+    for tb in c.sboxes:
+        for td in c.sdias:
+            others = [g for g in c.sdias if g is not td]
+            yield [((), [tb.left] + c.sdia_subs)], (tb, td, *others)
+
+
+def _cd(c):
+    yield [(c.box_subs, c.sdia_subs)], (*c.sdias, *c.boxes)
+
+
+# --- constructive restrictions of classical rules ------------------------
+
+def _with_succedent(build: Builder) -> Builder:
+    """The instances of build whose premise has a succedent formula."""
+    def restricted(c):
+        for prems, principal in build(c):
+            if prems[0][1]:
+                yield prems, principal
+    return restricted
+
+
+def _antecedent_only(build: Builder) -> Builder:
+    """build at the conclusion with its succedent weakened away, for the
+    instances with a principal formula."""
+    def restricted(c):
+        for prems, principal in build(c.antecedent()):
+            if principal:
+                yield prems, principal
+    return restricted
+
+
+_ALL = (CLASSICAL, CONSTRUCTIVE)
+
+# Search tries the invertible rules in table order, closure first.
+_TABLE = (
+    Rule("Lbot", _lbot, _ALL, contextual=True),
+    Rule("init", _init, _ALL, contextual=True),
+    Rule("Land", _land, _ALL, contextual=True),
+    Rule("Lor", _lor, _ALL, contextual=True),
+    Rule("Limp", _limp, (CLASSICAL,), contextual=True),
+    Rule("Rand", _rand, _ALL, contextual=True),
+    Rule("Ror", _ror, (CLASSICAL,), contextual=True),
+    Rule("Rimp", _rimp, _ALL, contextual=True),
+    Rule("Tbox", _tbox, _ALL, contextual=True),
+    Rule("iTbox", _tbox, _ALL, contextual=True),
+    Rule("Tdia", _tdia, _ALL, contextual=True),
+    Rule("iTdia", _itdia, contextual=True),
+    Rule("Mbox", _mbox), Rule("iMbox", _mbox),
+    Rule("Mdia", _mdia), Rule("iMdia", _mdia),
+    Rule("D", _d), Rule("iD", _d),
+    Rule("dualandM", _dualand_m), Rule("idualandM", _dualand_m),
+    Rule("dualorM", _dualor_m),
+    Rule("Dbox", _dbox), Rule("iDbox", _dbox),
+    Rule("Ddia", _ddia),
+    Rule("Nbox", _nbox), Rule("iNbox", _nbox),
+    Rule("Ndia", _ndia), Rule("iNdia", _ndia),
+    Rule("Pbox", _pbox), Rule("iPbox", _pbox),
+    Rule("Pdia", _pdia), Rule("iPdia", _pdia),
+    Rule("Kbox", _kbox), Rule("iKbox", _kbox),
+    Rule("Cbox", _cbox), Rule("iCbox", _cbox),
+    Rule("Kdia", _kdia), Rule("iKdia", _with_succedent(_kdia)),
+    Rule("idualandK", _antecedent_only(_kdia)),
+    Rule("Cdia", _cdia), Rule("iCdia", _cdia),
+    Rule("dualandC", _dualand_c), Rule("idualandC", _dualand_c),
+    Rule("dualorC", _dualor_c),
+    Rule("CD", _cd), Rule("iCD", _with_succedent(_cd)),
+    Rule("iCDbox", _antecedent_only(_cd)),
+)
+RULES = {r.name: r for r in _TABLE}
+
+
+def instances(rule: Rule, c: Shape):
+    """Backward (premises, principal) instances of rule at the normalized
+    conclusion c.  Skipped, though `check_step` accepts them, are those
+    that make no progress: without a principal formula (CD with neither
+    a box nor a succedent diamond), or with the conclusion as premise (a
+    T rule whose copy is already there).
+    """
+    for prems, principal in rule.build(c):
+        if not principal:
+            continue
+        sides = [(norm_side(a), norm_side(s)) for a, s in prems]
+        if sides != [(c.ant, c.suc)]:
+            yield tuple(Sequent(a, s, c.mode) for a, s in sides), principal
+
+
 def backward_applications(logic: Logic, seq: Sequent) -> List[RuleInstance]:
     """All backward instances of logic's rules at seq, in a fixed order."""
     seq = seq.normalized()
-    if (seq.mode == CONSTRUCTIVE) != (logic.mode == CONSTRUCTIVE):
+    if seq.mode != logic.mode:
         raise ValueError("sequent mode %r does not match logic %s" % (seq.mode, logic))
-    out = []
-    for rule in logic.rules:
-        out.extend(_instances(rule, seq))
-    return out
+    c = Shape(seq.mode, seq.ant, seq.suc)
+    return [RuleInstance(name, seq, prems, principal)
+            for name in logic.rules
+            for prems, principal in instances(RULES[name], c)]
 
 
-def _instances(rule: str, seq: Sequent) -> List[RuleInstance]:
-    mode = seq.mode
-    ant, suc = seq.ant, seq.suc
-    ant_set = set(ant)
-    suc_set = set(suc)
-    boxes = [f for f in ant if f.kind == BOX]
-    dias = [f for f in ant if f.kind == DIA]
-    sboxes = [f for f in suc if f.kind == BOX]
-    sdias = [f for f in suc if f.kind == DIA]
-    box_subs = [f.left for f in boxes]
-    sdia_subs = [f.left for f in sdias]
-    out = []
-
-    def emit(premises, principal):
-        out.append(RuleInstance(rule, seq, tuple(premises), tuple(principal)))
-
-    # --- axioms -----------------------------------------------------------
-    if rule == "init":
-        for f in suc:
-            if f.kind == ATOM and f in ant_set:
-                emit((), (f,))
-        return out
-    if rule == "Lbot":
-        if bot in ant_set:
-            emit((), (bot,))
-        return out
-
-    # --- propositional ----------------------------------------------------
-    if rule == "Land":
-        for f in ant:
-            if f.kind == AND:
-                emit([_seq(mode, _without(ant, f) + (f.left, f.right), suc)], (f,))
-        return out
-    if rule == "Lor":
-        for f in ant:
-            if f.kind == OR:
-                emit([
-                    _seq(mode, _without(ant, f) + (f.left,), suc),
-                    _seq(mode, _without(ant, f) + (f.right,), suc),
-                ], (f,))
-        return out
-    if rule == "Limp":
-        for f in ant:
-            if f.kind == IMP:
-                if mode == CONSTRUCTIVE:
-                    # Principal kept in the left premise.
-                    emit([
-                        _seq(mode, ant, (f.left,)),
-                        _seq(mode, _without(ant, f) + (f.right,), suc),
-                    ], (f,))
-                else:
-                    emit([
-                        _seq(mode, _without(ant, f), suc + (f.left,)),
-                        _seq(mode, _without(ant, f) + (f.right,), suc),
-                    ], (f,))
-        return out
-    if rule == "Rand":
-        for f in suc:
-            if f.kind == AND:
-                if mode == CONSTRUCTIVE:
-                    emit([_seq(mode, ant, (f.left,)), _seq(mode, ant, (f.right,))], (f,))
-                else:
-                    rest = _without(suc, f)
-                    emit([
-                        _seq(mode, ant, rest + (f.left,)),
-                        _seq(mode, ant, rest + (f.right,)),
-                    ], (f,))
-        return out
-    if rule == "Ror":
-        for f in suc:
-            if f.kind == OR:
-                if mode == CONSTRUCTIVE:
-                    # One instance per disjunct; a genuine choice point.
-                    emit([_seq(mode, ant, (f.left,))], (f, f.left))
-                    emit([_seq(mode, ant, (f.right,))], (f, f.right))
-                else:
-                    emit([_seq(mode, ant, _without(suc, f) + (f.left, f.right))], (f,))
-        return out
-    if rule == "Rimp":
-        for f in suc:
-            if f.kind == IMP:
-                if mode == CONSTRUCTIVE:
-                    emit([_seq(mode, ant + (f.left,), (f.right,))], (f,))
-                else:
-                    emit([_seq(mode, ant + (f.left,),
-                               _without(suc, f) + (f.right,))], (f,))
-        return out
-
-    # --- constructive modal rules ----------------------------------------
-    if rule == "iMbox":
-        if sboxes:
-            t = sboxes[0]
-            for f in boxes:
-                emit([_seq(mode, (f.left,), (t.left,))], (t, f))
-        return out
-    if rule == "iMdia":
-        if sdias:
-            t = sdias[0]
-            for f in dias:
-                emit([_seq(mode, (f.left,), (t.left,))], (t, f))
-        return out
-    if rule == "idualandM":
-        for fb in boxes:
-            for fd in dias:
-                emit([_seq(mode, (fb.left, fd.left), ())], (fb, fd))
-        return out
-    if rule == "iNbox":
-        if sboxes:
-            t = sboxes[0]
-            emit([_seq(mode, (), (t.left,))], (t,))
-        return out
-    if rule == "iNdia":
-        for f in dias:
-            emit([_seq(mode, (f.left,), ())], (f,))
-        return out
-    if rule == "iCbox":
-        if sboxes and boxes:
-            t = sboxes[0]
-            emit([_seq(mode, box_subs, (t.left,))], (t, *boxes))
-        return out
-    if rule == "iKbox":
-        if sboxes:
-            t = sboxes[0]
-            emit([_seq(mode, box_subs, (t.left,))], (t, *boxes))
-        return out
-    if rule in ("iCdia", "iKdia"):
-        if sdias:
-            t = sdias[0]
-            for f in dias:
-                emit([_seq(mode, box_subs + [f.left], (t.left,))], (t, f, *boxes))
-        return out
-    if rule == "idualandC":
-        if boxes:
-            for f in dias:
-                emit([_seq(mode, box_subs + [f.left], ())], (f, *boxes))
-        return out
-    if rule == "idualandK":
-        for f in dias:
-            emit([_seq(mode, box_subs + [f.left], ())], (f, *boxes))
-        return out
-    if rule == "iTbox":
-        for f in boxes:
-            if f.left not in ant_set:
-                emit([_seq(mode, ant + (f.left,), suc)], (f,))
-        return out
-    if rule == "iTdia":
-        if sdias:
-            t = sdias[0]
-            emit([_seq(mode, ant, (t.left,))], (t,))
-        return out
-    if rule == "iPbox":
-        for f in boxes:
-            emit([_seq(mode, (f.left,), ())], (f,))
-        return out
-    if rule == "iPdia":
-        if sdias:
-            t = sdias[0]
-            emit([_seq(mode, (), (t.left,))], (t,))
-        return out
-    if rule == "iD":
-        if sdias:
-            t = sdias[0]
-            for f in boxes:
-                emit([_seq(mode, (f.left,), (t.left,))], (t, f))
-        return out
-    if rule == "iDbox":
-        for i, f in enumerate(boxes):
-            for g in boxes[i + 1:]:
-                emit([_seq(mode, (f.left, g.left), ())], (f, g))
-        return out
-    if rule == "iCD":
-        if sdias:
-            t = sdias[0]
-            emit([_seq(mode, box_subs, (t.left,))], (t, *boxes))
-        return out
-    if rule == "iCDbox":
-        if boxes:
-            emit([_seq(mode, box_subs, ())], tuple(boxes))
-        return out
-
-    # --- classical modal rules -------------------------------------------
-    if rule == "Mbox":
-        for f in boxes:
-            for t in sboxes:
-                emit([_seq(mode, (f.left,), (t.left,))], (f, t))
-        return out
-    if rule == "Mdia":
-        for f in dias:
-            for t in sdias:
-                emit([_seq(mode, (f.left,), (t.left,))], (f, t))
-        return out
-    if rule == "dualandM":
-        for fb in boxes:
-            for fd in dias:
-                emit([_seq(mode, (fb.left, fd.left), ())], (fb, fd))
-        return out
-    if rule == "dualorM":
-        for tb in sboxes:
-            for td in sdias:
-                emit([_seq(mode, (), (tb.left, td.left))], (tb, td))
-        return out
-    if rule == "Cbox":
-        if boxes:
-            for t in sboxes:
-                emit([_seq(mode, box_subs, [t.left] + sdia_subs)],
-                     (t, *boxes, *sdias))
-        return out
-    if rule == "Cdia":
-        for f in dias:
-            for t in sdias:
-                rest = [g.left for g in sdias if g is not t]
-                emit([_seq(mode, box_subs + [f.left], [t.left] + rest)],
-                     (t, f, *boxes, *[g for g in sdias if g is not t]))
-        return out
-    if rule == "dualandC":
-        if boxes:
-            for f in dias:
-                emit([_seq(mode, box_subs + [f.left], ())], (f, *boxes))
-        return out
-    if rule == "dualorC":
-        for tb in sboxes:
-            for td in sdias:
-                rest = [g.left for g in sdias if g is not td]
-                emit([_seq(mode, (), [tb.left, td.left] + rest)],
-                     (tb, td, *[g for g in sdias if g is not td]))
-        return out
-    if rule == "Kbox":
-        for t in sboxes:
-            emit([_seq(mode, box_subs, [t.left] + sdia_subs)], (t, *boxes, *sdias))
-        return out
-    if rule == "Kdia":
-        for f in dias:
-            emit([_seq(mode, box_subs + [f.left], sdia_subs)], (f, *boxes, *sdias))
-        return out
-    if rule == "Nbox":
-        for t in sboxes:
-            emit([_seq(mode, (), (t.left,))], (t,))
-        return out
-    if rule == "Ndia":
-        for f in dias:
-            emit([_seq(mode, (f.left,), ())], (f,))
-        return out
-    if rule == "Pbox":
-        for f in boxes:
-            emit([_seq(mode, (f.left,), ())], (f,))
-        return out
-    if rule == "Pdia":
-        for t in sdias:
-            emit([_seq(mode, (), (t.left,))], (t,))
-        return out
-    if rule == "Tbox":
-        for f in boxes:
-            if f.left not in ant_set:
-                emit([_seq(mode, ant + (f.left,), suc)], (f,))
-        return out
-    if rule == "Tdia":
-        for t in sdias:
-            if t.left not in suc_set:
-                emit([_seq(mode, ant, suc + (t.left,))], (t,))
-        return out
-    if rule == "D":
-        for f in boxes:
-            for t in sdias:
-                emit([_seq(mode, (f.left,), (t.left,))], (f, t))
-        return out
-    if rule == "Dbox":
-        for i, f in enumerate(boxes):
-            for g in boxes[i + 1:]:
-                emit([_seq(mode, (f.left, g.left), ())], (f, g))
-        return out
-    if rule == "Ddia":
-        for i, f in enumerate(sdias):
-            for g in sdias[i + 1:]:
-                emit([_seq(mode, (), (f.left, g.left))], (f, g))
-        return out
-    if rule == "CD":
-        if boxes or sdias:
-            emit([_seq(mode, box_subs, sdia_subs)], (*boxes, *sdias))
-        return out
-
-    raise ValueError("unknown rule %r" % rule)
-
-
-# ---------------------------------------------------------------------------
-# Forward checking.  A step is accepted when it matches the rule schema
-# modulo duplicate collapse, with arbitrary (possibly empty) side context
-# where the schema allows it.
+# --- forward checking ------------------------------------------------------
 
 def check_step(logic: Logic, inst: RuleInstance) -> bool:
-    rule = inst.rule
-    prop = rule in ("init", "Lbot", "Land", "Lor", "Limp", "Rand", "Ror", "Rimp")
-    if not prop and rule not in logic.rules:
+    """Whether inst is an instance of its rule's schema in logic."""
+    if inst.rule not in logic.rules:
         return False
     concl = inst.conclusion.normalized()
-    if (concl.mode == CONSTRUCTIVE) != (logic.mode == CONSTRUCTIVE):
+    if concl.mode != logic.mode:
         return False
-    prems = tuple(p.normalized() for p in inst.premises)
-    if concl.mode == CONSTRUCTIVE:
-        if any(len(p.suc) > 1 for p in prems):
-            return False
-    try:
-        return _check(rule, concl, prems)
-    except ValueError:
-        return False
-
-
-def _check(rule, concl, prems):
-    mode = concl.mode
-    ant, suc = concl.ant, concl.suc
-    ant_set, suc_set = set(ant), set(suc)
-    from .syntax import box as mk_box, dia as mk_dia
-
-    def one():
-        if len(prems) != 1:
-            raise ValueError
-        return prems[0]
-
-    def two():
-        if len(prems) != 2:
-            raise ValueError
-        return prems
-
-    # --- axioms -----------------------------------------------------------
-    if rule == "init":
-        return not prems and any(
-            f.kind == ATOM and f in suc_set for f in ant)
-    if rule == "Lbot":
-        return not prems and bot in ant_set
-    if rule in ("Land", "Lor", "Limp", "Rand", "Ror", "Rimp"):
-        return _check_prop(rule, concl, prems)
-
-    # --- context-free premise rules --------------------------------------
-    if rule in ("iMbox", "iMdia", "Mbox", "Mdia", "iD", "D"):
-        p = one()
-        if len(p.ant) != 1 or len(p.suc) != 1:
-            return False
-        a, b = p.ant[0], p.suc[0]
-        src = mk_box(a) if rule in ("iMbox", "Mbox", "iD", "D") else mk_dia(a)
-        tgt = mk_box(b) if rule in ("iMbox", "Mbox") else mk_dia(b)
-        return src in ant_set and tgt in suc_set
-    if rule in ("idualandM", "dualandM", "iDbox", "Dbox"):
-        p = one()
-        if p.suc or not 1 <= len(p.ant) <= 2:
-            return False
-        a = p.ant[0]
-        b = p.ant[-1]
-        if rule in ("iDbox", "Dbox"):
-            return mk_box(a) in ant_set and mk_box(b) in ant_set
-        # dual-and: one box, one diamond (either order; a merged single
-        # formula must occur both boxed and diamonded).
-        return ((mk_box(a) in ant_set and mk_dia(b) in ant_set)
-                or (mk_dia(a) in ant_set and mk_box(b) in ant_set))
-    if rule == "dualorM":
-        p = one()
-        if p.ant or not 1 <= len(p.suc) <= 2:
-            return False
-        a, b = p.suc[0], p.suc[-1]
-        return ((mk_box(a) in suc_set and mk_dia(b) in suc_set)
-                or (mk_dia(a) in suc_set and mk_box(b) in suc_set))
-    if rule == "Ddia":
-        p = one()
-        if p.ant or not 1 <= len(p.suc) <= 2:
-            return False
-        return all(mk_dia(g) in suc_set for g in p.suc)
-    if rule in ("iNbox", "Nbox"):
-        p = one()
-        return (not p.ant and len(p.suc) == 1 and mk_box(p.suc[0]) in suc_set)
-    if rule in ("iNdia", "Ndia"):
-        p = one()
-        return (not p.suc and len(p.ant) == 1 and mk_dia(p.ant[0]) in ant_set)
-    if rule in ("iPbox", "Pbox"):
-        p = one()
-        return (not p.suc and len(p.ant) == 1 and mk_box(p.ant[0]) in ant_set)
-    if rule in ("iPdia", "Pdia"):
-        p = one()
-        return (not p.ant and len(p.suc) == 1 and mk_dia(p.suc[0]) in suc_set)
-
-    # --- T rules ----------------------------------------------------------
-    if rule in ("iTbox", "Tbox"):
-        p = one()
-        if set(p.suc) != suc_set:
-            return False
-        # Premise is the conclusion plus (at most) the unboxing of a
-        # principal box; the copy may be absorbed by normalization.
-        extra = set(p.ant) - ant_set
-        if len(extra) > 1 or not ant_set <= set(p.ant):
-            return False
-        cand = extra.pop() if extra else None
-        if cand is None:
-            return any(f.kind == BOX and f.left in ant_set for f in ant)
-        return mk_box(cand) in ant_set
-    if rule == "iTdia":
-        p = one()
-        if tuple(p.ant) != ant or len(p.suc) != 1 or len(suc) != 1:
-            return False
-        return suc[0].kind == DIA and suc[0].left is p.suc[0]
-    if rule == "Tdia":
-        p = one()
-        if set(p.ant) != ant_set:
-            return False
-        if not suc_set <= set(p.suc):
-            return False
-        extra = set(p.suc) - suc_set
-        if len(extra) > 1:
-            return False
-        cand = extra.pop() if extra else None
-        if cand is None:
-            return any(f.kind == DIA and f.left in suc_set for f in suc)
-        return mk_dia(cand) in suc_set
-
-    # --- boxed-context rules ---------------------------------------------
-    def all_boxed(fs, designated=None):
-        return all(g is designated or mk_box(g) in ant_set for g in fs)
-
-    if rule in ("iCbox", "iKbox"):
-        p = one()
-        if len(p.suc) != 1 or len(suc) != 1:
-            return False
-        t = suc[0]
-        if t.kind != BOX or t.left is not p.suc[0]:
-            return False
-        if not all_boxed(p.ant):
-            return False
-        if rule == "iCbox" and not p.ant:
-            return False
-        return True
-    if rule in ("iCdia", "iKdia"):
-        p = one()
-        if len(p.suc) != 1 or len(suc) != 1:
-            return False
-        t = suc[0]
-        if t.kind != DIA or t.left is not p.suc[0]:
-            return False
-        # One premise-antecedent member is the diamond principal, the rest
-        # are boxed in the conclusion.
-        for a in p.ant:
-            if mk_dia(a) in ant_set and all_boxed(p.ant, designated=a):
-                return True
-        return False
-    if rule in ("idualandC", "idualandK"):
-        p = one()
-        if p.suc:
-            return False
-        for a in p.ant:
-            if mk_dia(a) in ant_set and all_boxed(p.ant, designated=a):
-                if rule == "idualandC" and not any(
-                        g is not a and mk_box(g) in ant_set for g in p.ant):
-                    # dual-and-C needs at least one boxed principal; a merged
-                    # formula boxed *and* diamonded also qualifies.
-                    if not (mk_box(a) in ant_set and len(p.ant) == 1):
-                        return False
-                return True
-        return False
-    if rule == "iCD":
-        p = one()
-        if len(p.suc) != 1 or len(suc) != 1:
-            return False
-        t = suc[0]
-        return t.kind == DIA and t.left is p.suc[0] and all_boxed(p.ant)
-    if rule == "iCDbox":
-        p = one()
-        return not p.suc and all_boxed(p.ant) and bool(p.ant)
-    if rule == "dualandC":
-        p = one()
-        if p.suc:
-            return False
-        for a in p.ant:
-            if mk_dia(a) in ant_set and all_boxed(p.ant, designated=a):
-                if any(g is not a and mk_box(g) in ant_set for g in p.ant):
-                    return True
-                if mk_box(a) in ant_set and len(p.ant) == 1:
-                    return True
-        return False
-    if rule in ("Cbox", "Kbox"):
-        p = one()
-        if not all_boxed(p.ant):
-            return False
-        if rule == "Cbox" and not p.ant:
-            return False
-        # One succedent member is the boxed principal; the others are
-        # diamonded in the conclusion.
-        for b in p.suc:
-            if mk_box(b) in suc_set and all(
-                    g is b or mk_dia(g) in suc_set for g in p.suc):
-                return True
-        return False
-    if rule in ("Cdia", "Kdia"):
-        p = one()
-        if not all(mk_dia(g) in suc_set for g in p.suc):
-            return False
-        if rule == "Cdia" and not p.suc:
-            return False
-        for a in p.ant:
-            if mk_dia(a) in ant_set and all_boxed(p.ant, designated=a):
-                return True
-        return False
-    if rule == "dualorC":
-        p = one()
-        if p.ant:
-            return False
-        for b in p.suc:
-            if mk_box(b) in suc_set and all(
-                    g is b or mk_dia(g) in suc_set for g in p.suc):
-                if any(g is not b and mk_dia(g) in suc_set for g in p.suc):
-                    return True
-                if mk_dia(b) in suc_set and len(p.suc) == 1:
-                    return True
-        return False
-    if rule == "CD":
-        p = one()
-        return all_boxed(p.ant) and all(mk_dia(g) in suc_set for g in p.suc)
-
-    raise ValueError("unknown rule %r" % rule)
-
-
-def _check_prop(rule, concl, prems):
-    mode = concl.mode
-    ant, suc = concl.ant, concl.suc
-    ant_set, suc_set = set(ant), set(suc)
-
-    def ctx_minus(side, f):
-        return set(side) - {f}
-
-    if rule == "Land":
-        if len(prems) != 1:
-            return False
-        p = prems[0]
-        for f in ant:
-            if f.kind == AND:
-                want = (ctx_minus(ant, f) | {f.left, f.right}, suc_set)
-                if (set(p.ant), set(p.suc)) == want:
-                    return True
-        return False
-    if rule == "Lor":
-        if len(prems) != 2:
-            return False
-        for f in ant:
-            if f.kind == OR:
-                rest = ctx_minus(ant, f)
-                want = [(rest | {f.left}, suc_set), (rest | {f.right}, suc_set)]
-                got = [(set(p.ant), set(p.suc)) for p in prems]
-                if got == want or got == want[::-1]:
-                    return True
-        return False
-    if rule == "Limp":
-        if len(prems) != 2:
-            return False
-        for f in ant:
-            if f.kind != IMP:
-                continue
-            rest = ctx_minus(ant, f)
-            if mode == CONSTRUCTIVE:
-                want = [(set(ant), {f.left}), (rest | {f.right}, suc_set)]
-            else:
-                want = [(rest, suc_set | {f.left}), (rest | {f.right}, suc_set)]
-            got = [(set(p.ant), set(p.suc)) for p in prems]
-            if got == want or got == want[::-1]:
-                return True
-        return False
-    if rule == "Rand":
-        if len(prems) != 2:
-            return False
-        for f in suc:
-            if f.kind != AND:
-                continue
-            if mode == CONSTRUCTIVE:
-                want = [(ant_set, {f.left}), (ant_set, {f.right})]
-            else:
-                rest = ctx_minus(suc, f)
-                want = [(ant_set, rest | {f.left}), (ant_set, rest | {f.right})]
-            got = [(set(p.ant), set(p.suc)) for p in prems]
-            if got == want or got == want[::-1]:
-                return True
-        return False
-    if rule == "Ror":
-        if len(prems) != 1:
-            return False
-        p = prems[0]
-        for f in suc:
-            if f.kind != OR:
-                continue
-            if mode == CONSTRUCTIVE:
-                if set(p.ant) == ant_set and (
-                        set(p.suc) == {f.left} or set(p.suc) == {f.right}):
-                    return True
-            else:
-                want = (ant_set, ctx_minus(suc, f) | {f.left, f.right})
-                if (set(p.ant), set(p.suc)) == want:
-                    return True
-        return False
-    if rule == "Rimp":
-        if len(prems) != 1:
-            return False
-        p = prems[0]
-        for f in suc:
-            if f.kind != IMP:
-                continue
-            if mode == CONSTRUCTIVE:
-                want = (ant_set | {f.left}, {f.right})
-            else:
-                want = (ant_set | {f.left}, ctx_minus(suc, f) | {f.right})
-            if (set(p.ant), set(p.suc)) == want:
-                return True
-        return False
+    rule = RULES[inst.rule]
+    given = [(norm_side(p.ant), norm_side(p.suc)) for p in inst.premises]
+    if rule.contextual:
+        c = Shape(concl.mode, concl.ant, concl.suc)
+    else:
+        c = Shape(concl.mode,
+                  _candidates(concl.ant, {f for a, _ in given for f in a}),
+                  _candidates(concl.suc, {f for _, s in given for f in s}))
+    for prems, _ in rule.build(c):
+        built = [(norm_side(a), norm_side(s)) for a, s in prems]
+        if len(built) == len(given) and all(
+                built.count(p) == given.count(p) for p in built):
+            return True
     return False
+
+
+def _candidates(side, subs):
+    """The formulas []A and <>A of side with A in subs, each listed twice."""
+    return [f for f in side if f.kind in (BOX, DIA) and f.left in subs] * 2

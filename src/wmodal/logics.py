@@ -8,7 +8,7 @@ calculus, and the frame-condition set used by the semantics module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
 from . import syntax
@@ -119,8 +119,7 @@ _FEATURES = {
 # ---------------------------------------------------------------------------
 # Sequent-calculus rule sets.
 
-_PROP_CLASSICAL = ["init", "Lbot", "Land", "Lor", "Limp", "Rand", "Ror", "Rimp"]
-_PROP_CONSTRUCTIVE = ["init", "Lbot", "Land", "Lor", "Limp", "Rand", "Ror", "Rimp"]
+_PROPOSITIONAL = ["init", "Lbot", "Land", "Lor", "Limp", "Rand", "Ror", "Rimp"]
 
 _CLASSICAL_MODAL = {
     "M": ["Mbox", "Mdia", "dualandM", "dualorM"],
@@ -181,7 +180,7 @@ def _build() -> Dict[str, Logic]:
         out[base] = Logic(
             name=base, base=base, mode=CLASSICAL,
             axioms=axs, hilbert_rules=tuple(_CLASSICAL_HILBERT_RULES),
-            rules=tuple(_PROP_CLASSICAL + _CLASSICAL_MODAL[base]),
+            rules=tuple(_PROPOSITIONAL + _CLASSICAL_MODAL[base]),
             conditions=frozenset(
                 _AXIOM_CONDITION[a] for a in axs if a in _AXIOM_CONDITION),
             features=_FEATURES[base],
@@ -190,7 +189,7 @@ def _build() -> Dict[str, Logic]:
         out["W" + base] = Logic(
             name="W" + base, base=base, mode=CONSTRUCTIVE,
             axioms=axs, hilbert_rules=tuple(_CONSTRUCTIVE_HILBERT_RULES),
-            rules=tuple(_PROP_CONSTRUCTIVE + _CONSTRUCTIVE_MODAL[base]),
+            rules=tuple(_PROPOSITIONAL + _CONSTRUCTIVE_MODAL[base]),
             conditions=frozenset(
                 _AXIOM_CONDITION[a] for a in axs if a in _AXIOM_CONDITION),
             features=_FEATURES[base],

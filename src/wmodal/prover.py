@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from . import calculus
-from .calculus import COPYING_RULES, INVERTIBLE_RULES, RuleInstance
+from .calculus import RULES, RuleInstance, Shape
 from .logics import Logic
-from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent, norm_side
-from .syntax import ATOM, Formula, bot
+from .sequents import CONSTRUCTIVE, Sequent, norm_side
+from .syntax import Formula
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
@@ -92,10 +92,11 @@ class Engine:
 
     def __init__(self, logic: Logic):
         self.logic = logic
-        self.invertible = INVERTIBLE_RULES[logic.mode]
-        self.choice_rules = [r for r in logic.rules if r not in self.invertible]
-        self.eager_rules = [r for r in self.invertible
-                            if r in logic.rules and r not in ("init", "Lbot")]
+        mode = logic.mode
+        self.eager_rules = [r for r in RULES.values()
+                            if r.name in logic.rules and mode in r.invertible]
+        self.choice_rules = [RULES[name] for name in logic.rules
+                             if mode not in RULES[name].invertible]
         self.proved: Dict[Sequent, Derivation] = {}
         self.failed: Set[Sequent] = set()
 
@@ -136,18 +137,6 @@ class Engine:
         if seq in self.failed:
             return None, True
         self._tick()
-
-        # Closure rules.
-        if bot in seq.ant:
-            d = Derivation("Lbot", seq, (bot,))
-            self.proved[seq] = d
-            return d, True
-        for f in seq.suc:
-            if f.kind == ATOM and f in seq.ant:
-                d = Derivation("init", seq, (f,))
-                self.proved[seq] = d
-                return d, True
-
         anc.add(seq)
         try:
             return self._expand(seq, anc)
@@ -155,26 +144,29 @@ class Engine:
             anc.discard(seq)
 
     def _expand(self, seq: Sequent, anc: set):
+        c = Shape(seq.mode, seq.ant, seq.suc)
         blocked_here = False
 
-        # Eager phase: commit to the first unblocked invertible instance.
+        # Eager phase: commit to the first unblocked invertible instance;
+        # the closure rules Lbot and init come first.
         for rule in self.eager_rules:
             committed = None
-            for inst in calculus._instances(rule, seq):
-                if any(p in anc for p in inst.premises):
+            for prems, principal in calculus.instances(rule, c):
+                if any(p in anc for p in prems):
                     blocked_here = True
                     self._blocks += 1
                     continue
-                committed = inst
+                committed = prems, principal
                 break
             if committed is None:
                 continue
+            prems, principal = committed
             # Committing to any unblocked instance of an invertible rule is
             # complete, and a pure failure of its premises refutes the
             # conclusion regardless of blocks among skipped instances.
             pure = True
             kids = []
-            for p in committed.premises:
+            for p in prems:
                 d, p_pure = self._search(p, anc)
                 pure = pure and p_pure
                 if d is None:
@@ -182,21 +174,21 @@ class Engine:
                         self.failed.add(seq)
                     return None, pure
                 kids.append(d)
-            d = Derivation(rule, seq, committed.principal, tuple(kids))
+            d = Derivation(rule.name, seq, principal, tuple(kids))
             self.proved[seq] = d
             return d, True
 
         # Choice phase: backtracking over the remaining rules.
         pure = not blocked_here
         for rule in self.choice_rules:
-            for inst in calculus._instances(rule, seq):
-                if any(p in anc for p in inst.premises):
+            for prems, principal in calculus.instances(rule, c):
+                if any(p in anc for p in prems):
                     pure = False
                     self._blocks += 1
                     continue
                 kids = []
                 ok = True
-                for p in inst.premises:
+                for p in prems:
                     d, p_pure = self._search(p, anc)
                     pure = pure and p_pure
                     if d is None:
@@ -204,7 +196,7 @@ class Engine:
                         break
                     kids.append(d)
                 if ok:
-                    d = Derivation(rule, seq, inst.principal, tuple(kids))
+                    d = Derivation(rule.name, seq, principal, tuple(kids))
                     self.proved[seq] = d
                     return d, True
         if pure:
@@ -249,24 +241,24 @@ def prove_from(logic: Logic, assumptions: Iterable[Formula], f: Formula,
 
 
 def check(logic: Logic, d: Derivation) -> bool:
-    """Forward-check every step of d against logic's calculus."""
-    for node in d.steps():
-        if not node.children:
-            concl = node.conclusion.normalized()
-            if node.rule == "Lbot":
-                if bot not in concl.ant:
-                    return False
-            elif node.rule == "init":
-                if not any(f.kind == ATOM and f in concl.ant for f in concl.suc):
-                    return False
-            else:
-                return False
+    """Forward-check every step of d against logic's calculus.
+
+    Search shares subderivations, so d is a DAG: each distinct node is
+    checked once.
+    """
+    seen = set()
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
             continue
+        seen.add(id(node))
         inst = RuleInstance(node.rule, node.conclusion,
                             tuple(c.conclusion for c in node.children),
                             node.principal)
         if not calculus.check_step(logic, inst):
             return False
+        stack.extend(node.children)
     return True
 
 

@@ -9,12 +9,12 @@ emitted theorem/derivable sequent is confirmed by the prover.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from . import prover, syntax
 from .logics import Logic, instantiate_axiom
 from .prover import Budget
-from .sequents import CONSTRUCTIVE, Sequent, norm_side
+from .sequents import CONSTRUCTIVE, Sequent
 from .syntax import Formula, atom, bot, box, conj, dia, disj, imp
 
 

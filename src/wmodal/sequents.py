@@ -82,7 +82,7 @@ def parse_sequent(text: str, mode: str, names: Optional[dict] = None) -> Sequent
         names = {}
     reserved = {int(m[1:]) for m in re.findall(r"\bp[0-9]+\b", text)}
 
-    def side(txt, offset):
+    def side(txt):
         out = []
         depth = 0
         part = []
@@ -104,6 +104,6 @@ def parse_sequent(text: str, mode: str, names: Optional[dict] = None) -> Sequent
             fs.append(syntax.parse(chunk, names, reserved))
         return tuple(fs)
 
-    ant = side(left_txt, 0)
-    suc = side(right_txt, len(left_txt) + 2)
+    ant = side(left_txt)
+    suc = side(right_txt)
     return Sequent(ant, suc, mode)

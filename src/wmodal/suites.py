@@ -8,15 +8,15 @@ each record carries enough detail (logic, seed, formula) to reproduce.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import interpolation, prover, sampling, semantics, syntax
 from .logics import (AXIOM_SCHEMAS, LOGICS, Logic, expected_axiom_status,
                      instantiate_axiom, lattice_edges)
 from .prover import Budget
-from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent, norm_side
-from .syntax import atom, box, dia, disj, imp, neg, parse
+from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent
+from .syntax import atom, parse
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ only ever sees the seven primitive constructors.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 ATOM = "atom"
 BOT = "bot"
@@ -160,10 +160,6 @@ def var_set_all(fs: Iterable[Formula]) -> frozenset:
     for f in fs:
         out |= var_set(f)
     return frozenset(out)
-
-
-def atoms_of(f: Formula):
-    return sorted(g.index for g in subformulas(f) if g.kind == ATOM)
 
 
 # ---------------------------------------------------------------------------

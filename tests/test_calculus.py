@@ -7,7 +7,7 @@ import pytest
 from wmodal import calculus, sampling
 from wmodal.calculus import RuleInstance, backward_applications, check_step
 from wmodal.logics import LOGICS, get_logic, instantiate_axiom
-from wmodal.sequents import CLASSICAL, CONSTRUCTIVE, Sequent
+from wmodal.sequents import CLASSICAL, CONSTRUCTIVE, Sequent, parse_sequent
 from wmodal.syntax import (atom, bot, box, conj, dia, disj, imp, neg,
                            subformulas, top)
 
@@ -41,6 +41,13 @@ def test_rules_wmd():
 def test_rules_wkt():
     assert set(get_logic("WKT").rules) == PROP | {
         "iKbox", "iKdia", "idualandK", "iTbox", "iTdia"}
+
+
+def test_rule_table_matches_catalogue():
+    names = [rule.name for rule in calculus._TABLE]
+    assert len(names) == len(set(names)) == len(calculus.RULES)
+    used = {name for logic in LOGICS.values() for name in logic.rules}
+    assert used == set(names)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +182,36 @@ def test_check_step_rejects_wrong_mode():
                         (Sequent((p,), (q,), CLASSICAL),),
                         ())
     assert not check_step(wk, inst)
+
+
+# check_step on partial box and succedent-diamond selections, a principal
+# both boxed and diamonded, a T-box copy absorbed by normalization, and the
+# side conditions of the C and D rules.  The principal field is left
+# empty: check_step must not read it.
+CHECK_STEP_CASES = [
+    ("iKbox", "WK", "[]p1, []p2 |- []p3", ["p1 |- p3"], True),
+    ("iKbox", "WK", "[]p1, p3 |- []p2", ["p1, p3 |- p2"], False),
+    ("iKdia", "WK", "[]p1, []p2, <>p4 |- <>p3", ["p1, p4 |- p3"], True),
+    ("idualandK", "WK", "[]p1, <>p2 |- p3", ["p2 |-"], True),
+    ("idualandC", "WMC", "[]p1, <>p2 |- p3", ["p2 |-"], False),
+    ("idualandC", "WMC", "[]p1, <>p1 |-", ["p1 |-"], True),
+    ("idualandM", "WM", "[]p1, <>p1 |-", ["p1 |-"], True),
+    ("iTbox", "WMT", "[]p1, p1 |- p2", ["[]p1, p1 |- p2"], True),
+    ("Kbox", "K", "[]p1, []p2 |- []p3, <>p4", ["p1 |- p3"], True),
+    ("Cdia", "MC", "[]p1, <>p2 |- <>p3", ["p1, p2 |-"], False),
+    ("Cdia", "MC", "[]p1, <>p2 |- <>p3, <>p4", ["p2 |- p4"], True),
+    ("CD", "MCD", "[]p1, []p2 |- <>p3, <>p4", ["p1 |- p4"], True),
+    ("iCDbox", "WKD", "[]p1, []p2 |- p3", ["p2 |-"], True),
+    ("iCDbox", "WKD", "|- p3", ["|-"], False),
+]
+
+
+@pytest.mark.parametrize("rule,name,concl,prems,verdict", CHECK_STEP_CASES)
+def test_check_step_verdicts(rule, name, concl, prems, verdict):
+    logic = get_logic(name)
+    inst = RuleInstance(rule, parse_sequent(concl, logic.mode),
+                        tuple(parse_sequent(t, logic.mode) for t in prems), ())
+    assert check_step(logic, inst) is verdict
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from wmodal import prover, sampling
+from wmodal import calculus, prover, sampling
 from wmodal.logics import LOGICS, get_logic, instantiate_axiom
 from wmodal.prover import Budget, BudgetExceeded, Derivation, check, decide, \
     prove, prove_from
-from wmodal.sequents import CONSTRUCTIVE, Sequent
+from wmodal.sequents import CONSTRUCTIVE, Sequent, parse_sequent
 from wmodal.syntax import atom, bot, box, conj, dia, disj, imp, neg, parse
 
 p, q, r = atom(1), atom(2), atom(3)
@@ -119,6 +119,35 @@ def test_derivation_heights():
                                       default=-1)
 
 
+def test_check_visits_each_shared_node_once(monkeypatch):
+    # An 81-node proof whose tree unfolding has about 900,000 nodes.
+    wkt = get_logic("WKT")
+    seq = parse_sequent("[]<>p3, []<>[]p2, [](bot -> p1), [](p3 | p3), "
+                        "[](p1 | p1), []p1, [](p2 | p3), <>p1 |- [](bot -> bot)",
+                        CONSTRUCTIVE)
+    prover.clear_caches()
+    try:
+        d = prove(wkt, seq).derivation
+    finally:
+        prover.clear_caches()
+    nodes, stack = set(), [d]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes.add(id(node))
+            stack.extend(node.children)
+    calls = []
+    check_step = calculus.check_step
+
+    def counting(logic, inst):
+        calls.append(inst)
+        return check_step(logic, inst)
+
+    monkeypatch.setattr(calculus, "check_step", counting)
+    assert check(wkt, d)
+    assert 0 < len(calls) <= len(nodes)
+
+
 def test_proved_results_pass_check_everywhere():
     rng = random.Random(7)
     for name in ("WM", "WK", "WMND", "WMT", "K", "MCD", "KT"):
@@ -141,6 +170,24 @@ def test_budget_node_limit_raises():
                        CONSTRUCTIVE)
         with pytest.raises(BudgetExceeded):
             prove(get_logic("WK"), goal, Budget(max_nodes=2))
+    finally:
+        prover.clear_caches()
+
+
+def test_verdicts_independent_of_cache_order():
+    # The failure cache keeps only failures found without a loop block, so
+    # what earlier goals left in the caches must not change a verdict.
+    space = sampling.formulas_up_to_size(5, num_atoms=2)
+    shuffled = list(space)
+    random.Random(11).shuffle(shuffled)
+    try:
+        for name in sorted(LOGICS):
+            logic = LOGICS[name]
+            verdicts = []
+            for order in (space, space[::-1], shuffled):
+                prover.clear_caches()
+                verdicts.append({f: decide(logic, f) for f in order})
+            assert verdicts[0] == verdicts[1] == verdicts[2], name
     finally:
         prover.clear_caches()
 
