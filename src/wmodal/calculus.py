@@ -28,8 +28,9 @@ partial-selection instances redundant.
 
 `check_step`, in contrast, accepts any instance of the rule schema
 modulo normalization: it rebuilds the premises from the conclusion and
-compares them side by side as sets, in any order and whatever their
-mode.  The propositional and T rules keep the whole conclusion as
+compares them side by side as sets, in any order.  The premises must
+have the conclusion's mode, and the instance a principal formula.  The
+propositional and T rules keep the whole conclusion as
 context.  The other modal rules keep none, so the conclusion may hold
 any other formulas: their premises are rebuilt from the conclusion cut
 down to the formulas []A and <>A whose A occurs in a premise on the same
@@ -293,13 +294,8 @@ def _with_succedent(build: Builder) -> Builder:
 
 
 def _antecedent_only(build: Builder) -> Builder:
-    """build at the conclusion with its succedent weakened away, for the
-    instances with a principal formula."""
-    def restricted(c):
-        for prems, principal in build(c.antecedent()):
-            if principal:
-                yield prems, principal
-    return restricted
+    """build at the conclusion with its succedent weakened away."""
+    return lambda c: build(c.antecedent())
 
 
 _ALL = (CLASSICAL, CONSTRUCTIVE)
@@ -344,10 +340,10 @@ RULES = {r.name: r for r in _TABLE}
 
 def instances(rule: Rule, c: Shape):
     """Backward (premises, principal) instances of rule at the normalized
-    conclusion c.  Skipped, though `check_step` accepts them, are those
-    that make no progress: without a principal formula (CD with neither
-    a box nor a succedent diamond), or with the conclusion as premise (a
-    T rule whose copy is already there).
+    conclusion c.  Skipped are those that make no progress: without a
+    principal formula (CD with neither a box nor a succedent diamond),
+    which `check_step` rejects too, or with the conclusion as premise (a
+    T rule whose copy is already there), which it accepts.
     """
     for prems, principal in rule.build(c):
         if not principal:
@@ -375,7 +371,8 @@ def check_step(logic: Logic, inst: RuleInstance) -> bool:
     if inst.rule not in logic.rules:
         return False
     concl = inst.conclusion.normalized()
-    if concl.mode != logic.mode:
+    if concl.mode != logic.mode or any(p.mode != concl.mode
+                                       for p in inst.premises):
         return False
     rule = RULES[inst.rule]
     given = [(norm_side(p.ant), norm_side(p.suc)) for p in inst.premises]
@@ -385,7 +382,9 @@ def check_step(logic: Logic, inst: RuleInstance) -> bool:
         c = Shape(concl.mode,
                   _candidates(concl.ant, {f for a, _ in given for f in a}),
                   _candidates(concl.suc, {f for _, s in given for f in s}))
-    for prems, _ in rule.build(c):
+    for prems, principal in rule.build(c):
+        if not principal:
+            continue
         built = [(norm_side(a), norm_side(s)) for a, s in prems]
         if len(built) == len(given) and all(
                 built.count(p) == given.count(p) for p in built):

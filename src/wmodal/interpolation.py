@@ -85,16 +85,36 @@ def _certify(logic, c, left, right, suc, budget) -> InterpolationResult:
     return InterpolationResult(c, lres.derivation, rres.derivation)
 
 
-# ---------------------------------------------------------------------------
-# The case table.  `left` is the Γ₁ part of the node's antecedent.
-
 def _interp(d: Derivation, left: FrozenSet[Formula]) -> Formula:
+    """The interpolant of d for the antecedent part left.
+
+    Search shares subderivations, so d is a DAG whose tree unfolding can
+    be exponentially larger.  The case table is a function of the node
+    and its left part alone, so each such pair is computed once.
+    """
+    memo = {}
+
+    def interp(node, part):
+        k = (id(node), part)
+        c = memo.get(k)
+        if c is None:
+            c = memo[k] = _case(node, part, interp)
+        return c
+
+    return interp(d, left)
+
+
+# ---------------------------------------------------------------------------
+# The case table.  `left` is the Γ₁ part of the node's antecedent; `interp`
+# interpolates a premise.
+
+def _case(d: Derivation, left: FrozenSet[Formula], interp) -> Formula:
     rule = d.rule
     pr = d.principal
     kids = d.children
 
     def sub(child, newleft):
-        return _interp(child, frozenset(newleft) & set(child.conclusion.ant))
+        return interp(child, frozenset(newleft) & set(child.conclusion.ant))
 
     # -- closures ---------------------------------------------------------
     if rule == "init":

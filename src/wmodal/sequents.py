@@ -10,7 +10,8 @@ sorted sides; `key_of` exposes the underlying pair of sets.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional, Tuple
 
 from . import syntax
@@ -20,22 +21,31 @@ CLASSICAL = "classical"
 CONSTRUCTIVE = "constructive"
 
 
+_order = attrgetter("key")
+
+
 def norm_side(fs: Iterable[Formula]) -> Tuple[Formula, ...]:
     """Duplicate-free side in a deterministic canonical order."""
-    return tuple(sorted(set(fs), key=Formula.struct_key))
+    return tuple(sorted(set(fs), key=_order))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequent:
     ant: Tuple[Formula, ...]
     suc: Tuple[Formula, ...]
     mode: str
+    # Search hashes every sequent it meets several times; hash it once.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in (CLASSICAL, CONSTRUCTIVE):
             raise ValueError("unknown mode %r" % self.mode)
         if self.mode == CONSTRUCTIVE and len(set(self.suc)) > 1:
             raise ValueError("constructive sequents have at most one succedent")
+        object.__setattr__(self, "_hash", hash((self.ant, self.suc, self.mode)))
+
+    def __hash__(self):
+        return self._hash
 
     def normalized(self) -> "Sequent":
         return Sequent(norm_side(self.ant), norm_side(self.suc), self.mode)

@@ -18,9 +18,6 @@ IMP = "imp"
 BOX = "box"
 DIA = "dia"
 
-_BINARY = (AND, OR, IMP)
-_MODAL = (BOX, DIA)
-
 
 class ParseError(ValueError):
     """Syntax error with a character position."""
@@ -35,11 +32,17 @@ class Formula:
 
     Formulas are hash-consed: structurally equal formulas are the same
     object, so equality is identity and hashing is O(1).
+
+    `key` orders formulas canonically: complexity first, then a
+    structural comparison.  It is built once, at interning, from the
+    children's keys, so equal subformulas share one key object and it is
+    the same in every process.
     """
 
-    __slots__ = ("kind", "left", "right", "index", "uid", "complexity", "size")
+    __slots__ = ("kind", "left", "right", "index", "uid", "complexity", "size",
+                 "key")
 
-    def __init__(self, kind, left, right, index, uid, complexity, size):
+    def __init__(self, kind, left, right, index, uid, complexity, size, key):
         self.kind = kind
         self.left = left
         self.right = right
@@ -47,6 +50,7 @@ class Formula:
         self.uid = uid
         self.complexity = complexity
         self.size = size
+        self.key = key
 
     def __hash__(self):
         return self.uid
@@ -54,18 +58,10 @@ class Formula:
     def __repr__(self):
         return "Formula(%s)" % render(self)
 
-    # Sorting helper used for canonical multiset orderings: complexity
-    # first, then a structural comparison.
-    def struct_key(self):
-        if self.kind == ATOM:
-            return (self.complexity, 0, self.index)
-        if self.kind == BOT:
-            return (self.complexity, 1)
-        rank = 2 + (AND, OR, IMP, BOX, DIA).index(self.kind)
-        if self.kind in _MODAL:
-            return (self.complexity, rank, self.left.struct_key())
-        return (self.complexity, rank, self.left.struct_key(), self.right.struct_key())
 
+# An order key is (complexity, rank, the children's keys); atoms rank 0
+# and add their index, bot ranks 1.
+_RANK = {AND: 2, OR: 3, IMP: 4, BOX: 5, DIA: 6}
 
 _intern: dict = {}
 _next_uid = [0]
@@ -76,15 +72,17 @@ def _mk(kind, left=None, right=None, index=0):
     f = _intern.get(key)
     if f is not None:
         return f
-    cplx = 0 if kind in (ATOM, BOT) else 1
-    size = 1
-    if left is not None:
-        cplx += left.complexity
-        size += left.size
-    if right is not None:
-        cplx += right.complexity
-        size += right.size
-    f = Formula(kind, left, right, index, _next_uid[0], cplx, size)
+    if left is None:
+        cplx, size = 0, 1
+        order = (0, 0, index) if kind == ATOM else (0, 1)
+    elif right is None:
+        cplx, size = 1 + left.complexity, 1 + left.size
+        order = (cplx, _RANK[kind], left.key)
+    else:
+        cplx = 1 + left.complexity + right.complexity
+        size = 1 + left.size + right.size
+        order = (cplx, _RANK[kind], left.key, right.key)
+    f = Formula(kind, left, right, index, _next_uid[0], cplx, size, order)
     _next_uid[0] += 1
     _intern[key] = f
     return f

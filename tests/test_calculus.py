@@ -185,9 +185,11 @@ def test_check_step_rejects_wrong_mode():
 
 
 # check_step on partial box and succedent-diamond selections, a principal
-# both boxed and diamonded, a T-box copy absorbed by normalization, and the
-# side conditions of the C and D rules.  The principal field is left
-# empty: check_step must not read it.
+# both boxed and diamonded, a T-box copy absorbed by normalization, the
+# side conditions of the C and D rules, a premise in the wrong mode and an
+# instance without a principal formula.  The principal field is left
+# empty: check_step must not read it.  A premise is parsed in the logic's
+# mode unless given as a (text, mode) pair.
 CHECK_STEP_CASES = [
     ("iKbox", "WK", "[]p1, []p2 |- []p3", ["p1 |- p3"], True),
     ("iKbox", "WK", "[]p1, p3 |- []p2", ["p1, p3 |- p2"], False),
@@ -203,6 +205,8 @@ CHECK_STEP_CASES = [
     ("CD", "MCD", "[]p1, []p2 |- <>p3, <>p4", ["p1 |- p4"], True),
     ("iCDbox", "WKD", "[]p1, []p2 |- p3", ["p2 |-"], True),
     ("iCDbox", "WKD", "|- p3", ["|-"], False),
+    ("Rimp", "WK", "|- p1 -> p2", [("p1 |- p2", CLASSICAL)], False),
+    ("CD", "MCD", "p1 |- p2", ["|-"], False),
 ]
 
 
@@ -210,7 +214,9 @@ CHECK_STEP_CASES = [
 def test_check_step_verdicts(rule, name, concl, prems, verdict):
     logic = get_logic(name)
     inst = RuleInstance(rule, parse_sequent(concl, logic.mode),
-                        tuple(parse_sequent(t, logic.mode) for t in prems), ())
+                        tuple(parse_sequent(*t) if isinstance(t, tuple)
+                              else parse_sequent(t, logic.mode)
+                              for t in prems), ())
     assert check_step(logic, inst) is verdict
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -105,6 +106,22 @@ def test_certificates_pass_check():
     res = craig(wk, conj(p, q), disj(p, r))
     assert prover.check(wk, res.left_certificate)
     assert prover.check(wk, res.right_certificate)
+
+
+def test_craig_walks_a_shared_proof_once_per_node():
+    # A WKT theorem whose proof DAG unfolds to an exponentially larger
+    # tree: its interpolant has 1,486,847 nodes as a tree, too many to
+    # render.  Interpolating the unfolding would not finish.
+    wkt = get_logic("WKT")
+    a = parse("([]<>p3) & ([]<>[]p2) & ([](bot -> p1)) & ([](p3 | p3)) "
+              "& ([](p1 | p1)) & ([]p1) & ([](p2 | p3)) & (<>p1)")
+    b = parse("[](bot -> bot)")
+    prover.clear_caches()
+    start = time.monotonic()
+    res = craig(wkt, a, b)
+    assert time.monotonic() - start < 5
+    assert prover.check(wkt, res.left_certificate)
+    assert prover.check(wkt, res.right_certificate)
 
 
 # ---------------------------------------------------------------------------

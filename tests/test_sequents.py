@@ -1,10 +1,20 @@
 """Sequents, the single-succedent restriction, and formula readings."""
 
+import dataclasses
+import json
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
+import wmodal
+from wmodal import sampling
 from wmodal.sequents import (CLASSICAL, CONSTRUCTIVE, Sequent, interpret,
                              key_of, norm_side, parse_sequent)
-from wmodal.syntax import atom, bot, conj, disj, imp, neg, parse
+from wmodal.syntax import (AND, ATOM, BOT, BOX, DIA, IMP, OR, atom, bot, box,
+                           conj, disj, imp, neg, parse, render)
 
 p1, p2, q = atom(1), atom(2), atom(3)
 
@@ -59,6 +69,81 @@ def test_normalized_dedups_and_sorts():
     s = Sequent((p2, p1, p2), (q,), CLASSICAL).normalized()
     assert s.ant == (p1, p2)
     assert norm_side((p2, p1, p2)) == (p1, p2)
+
+
+def _reference_key(f):
+    """The order key recomputed recursively from the formula's structure."""
+    if f.kind == ATOM:
+        return (f.complexity, 0, f.index)
+    if f.kind == BOT:
+        return (f.complexity, 1)
+    rank = 2 + (AND, OR, IMP, BOX, DIA).index(f.kind)
+    if f.kind in (BOX, DIA):
+        return (f.complexity, rank, _reference_key(f.left))
+    return (f.complexity, rank, _reference_key(f.left),
+            _reference_key(f.right))
+
+
+def _formulas_with_sharing(rng, n):
+    """Random formulas, a third of them built from earlier ones."""
+    out = []
+    for _ in range(n):
+        if out and rng.random() < 0.35:
+            a, b = rng.choice(out), rng.choice(out)
+            out.append(rng.choice([conj(a, b), imp(a, box(b)), disj(b, a)]))
+        else:
+            out.append(sampling.random_formula(rng, rng.randint(1, 9)))
+    return out
+
+
+def test_norm_side_order_matches_reference_key():
+    rng = random.Random(7)
+    for _ in range(200):
+        fs = _formulas_with_sharing(rng, rng.randint(1, 12))
+        for f in fs:
+            assert f.key == _reference_key(f)
+        side = fs * 2
+        rng.shuffle(side)
+        assert norm_side(side) == tuple(sorted(set(fs), key=_reference_key))
+
+
+_RENDER_SIDE = """
+import json, sys
+from wmodal.sequents import norm_side
+from wmodal.syntax import parse, render
+texts = json.load(sys.stdin)
+fs = [parse(t) for t in texts]
+print(json.dumps([render(f) for f in norm_side(fs)]))
+"""
+
+
+def test_norm_side_is_the_same_in_every_process():
+    # Interning in opposite orders gives the formulas different uids, and
+    # hence different hashes and set orders, in the two processes.
+    texts = [render(f) for f in _formulas_with_sharing(random.Random(11), 60)]
+    src = os.path.dirname(os.path.dirname(wmodal.__file__))
+    outs = []
+    for seed, order in (("1", texts), ("2", texts[::-1])):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _RENDER_SIDE],
+                             input=json.dumps(order), capture_output=True,
+                             text=True, env=env, timeout=60, check=True)
+        outs.append(json.loads(run.stdout))
+    assert outs[0] == outs[1]
+    assert outs[0] == [render(f) for f in norm_side(parse(t) for t in texts)]
+
+
+def test_sequent_contract():
+    a = Sequent((p1, p2), (q,), CONSTRUCTIVE)
+    b = Sequent((p1, p2), (q,), CONSTRUCTIVE)
+    assert a == b and hash(a) == hash(b)
+    assert a != Sequent((p1, p2), (q,), CLASSICAL)
+    assert {a: 1}[b] == 1
+    assert repr(a) == ("Sequent(ant=(Formula(p1), Formula(p2)), "
+                       "suc=(Formula(p3),), mode='constructive')")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.ant = ()
+    assert not hasattr(a, "__dict__")
 
 
 # ---------------------------------------------------------------------------
