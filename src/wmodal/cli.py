@@ -24,7 +24,7 @@ EX_NEGATIVE = 1
 EX_BUDGET = 2
 EX_USAGE = 64
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class _Out:
@@ -40,11 +40,25 @@ class _Out:
 
 
 def _derivation_doc(d):
-    return {
-        "rule": d.rule,
-        "sequent": str(d.conclusion),
-        "premises": [_derivation_doc(c) for c in d.children],
-    }
+    """The derivation as nested records.  A shared subderivation appears
+    in full once, with an "id", and later as {"ref": id, "sequent": ...}."""
+    root = None
+    open_premises = []      # premises list of the open record at each depth
+    for depth, node, label, first in d.walk():
+        if first:
+            doc = {"rule": node.rule, "sequent": str(node.conclusion),
+                   "premises": []}
+            if label is not None:
+                doc["id"] = label
+        else:
+            doc = {"ref": label, "sequent": str(node.conclusion)}
+        del open_premises[depth:]
+        if depth:
+            open_premises[depth - 1].append(doc)
+        else:
+            root = doc
+        open_premises.append(doc.get("premises"))
+    return root
 
 
 def _budget(args) -> Budget:
@@ -122,7 +136,8 @@ def cmd_interpolate(args, out):
 def cmd_countermodel(args, out):
     logic = get_logic(args.logic)
     f = syntax.parse(args.input)
-    found = semantics.enumerate_countermodel(logic, f, args.max_worlds)
+    found = semantics.enumerate_countermodel(logic, f, args.max_worlds,
+                                           _budget(args))
     if found is None:
         out.emit({"command": "countermodel", "logic": logic.name,
                   "status": "none", "max_worlds": args.max_worlds},

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Set, Tuple
 
@@ -61,15 +62,55 @@ class Derivation:
         return "Derivation(%s; %s)" % (self.rule, self.conclusion)
 
     def steps(self):
-        """Pre-order traversal."""
-        yield self
-        for c in self.children:
-            yield from c.steps()
+        """Each distinct node once, in pre-order of first occurrence.
 
-    def pretty(self, indent: int = 0) -> str:
-        lines = ["%s%s   [%s]" % ("  " * indent, self.conclusion, self.rule)]
-        for c in self.children:
-            lines.append(c.pretty(indent + 1))
+        Search shares subderivations, so a derivation is a DAG whose tree
+        unfolding can be exponentially larger.
+        """
+        seen = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            yield node
+            stack.extend(reversed(node.children))
+
+    def walk(self):
+        """Yield (depth, node, label, first) for every occurrence of a
+        node in the pre-order walk of the proof tree, where each distinct
+        node is entered only at its first occurrence (first is True).
+        label is k for the k-th node, in that order, that is a premise
+        more than once, and None for the others."""
+        refs = Counter(id(c) for node in self.steps() for c in node.children)
+        labels = {}
+        for node in self.steps():
+            if refs[id(node)] > 1:
+                labels[id(node)] = len(labels) + 1
+        done = set()
+        stack = [(0, self)]
+        while stack:
+            depth, node = stack.pop()
+            first = id(node) not in done
+            yield depth, node, labels.get(id(node)), first
+            if first:
+                done.add(id(node))
+                stack.extend((depth + 1, c) for c in reversed(node.children))
+
+    def pretty(self) -> str:
+        """One sequent per line, premises indented under their conclusion.
+        A shared subderivation is printed once, tagged #k; later
+        occurrences refer to it as [see #k]."""
+        lines = []
+        for depth, node, label, first in self.walk():
+            pad = "  " * depth
+            if first:
+                tag = "" if label is None else "   #%d" % label
+                lines.append("%s%s   [%s]%s" % (pad, node.conclusion,
+                                                node.rule, tag))
+            else:
+                lines.append("%s%s   [see #%d]" % (pad, node.conclusion, label))
         return "\n".join(lines)
 
 
@@ -243,22 +284,14 @@ def prove_from(logic: Logic, assumptions: Iterable[Formula], f: Formula,
 def check(logic: Logic, d: Derivation) -> bool:
     """Forward-check every step of d against logic's calculus.
 
-    Search shares subderivations, so d is a DAG: each distinct node is
-    checked once.
+    Each distinct node of the DAG is checked once.
     """
-    seen = set()
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
+    for node in d.steps():
         inst = RuleInstance(node.rule, node.conclusion,
                             tuple(c.conclusion for c in node.children),
                             node.principal)
         if not calculus.check_step(logic, inst):
             return False
-        stack.extend(node.children)
     return True
 
 

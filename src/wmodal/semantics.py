@@ -1,10 +1,14 @@
 """Finite neighbourhood models, classical and constructive.
 
-Worlds are 0..n-1; sets of worlds are bitmasks.  A classical model is
-(W, N, V); a constructive model adds a preorder, represented by the
-successor mask of each world, and keeps valuations hereditary.  Forcing,
-condition checking, random generation with condition repair, and
-exhaustive countermodel enumeration all live here.
+Worlds are 0..n-1; sets of worlds are bitmasks.  A constructive model
+has a preorder, given as the successor mask of each world, a family of
+neighbourhoods per world and a hereditary valuation.  A classical model
+is the constructive model on the discrete order, where each world is its
+own only successor.  So one evaluator, `_run`, serves both: the clauses
+for implication, box and diamond are read locally and then cut down to
+the worlds all of whose successors satisfy them, which on the discrete
+order changes nothing.  Each frame condition is stated once, in
+`_violation`, for checking models and for generating them.
 
 Countermodel enumeration ranges over neighbourhood families that are
 antichains under inclusion (closed under intersection when the logic
@@ -18,25 +22,31 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import time
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .logics import Logic
+from .prover import Budget, BudgetExceeded
 from .sequents import CLASSICAL, CONSTRUCTIVE
-from .syntax import AND, ATOM, BOT, BOX, DIA, IMP, OR, Formula
+from .syntax import AND, ATOM, BOT, BOX, DIA, IMP, OR, Formula, subformulas
 
 CONDITION_NAMES = ("C", "N", "D", "T", "P")
 
+# Enumeration stops here: at five worlds there are 7,581 antichain
+# families per world and 2^20 candidate orders, at six 7.8 million
+# families.
+MAX_WORLDS = 4
+
+# Enumeration keeps the local tables of this many neighbourhood choices
+# for the next valuation: every 3-world product (at most 20^3 choices),
+# and a bounded part of the 4-world ones.
+_KEPT_CHOICES = 1 << 14
+
 
 def _bits(mask: int) -> List[int]:
-    out = []
-    w = 0
-    while mask:
-        if mask & 1:
-            out.append(w)
-        mask >>= 1
-        w += 1
-    return out
+    return [w for w in range(mask.bit_length()) if mask >> w & 1]
 
 
 def _mask(worlds: Iterable[int]) -> int:
@@ -46,9 +56,24 @@ def _mask(worlds: Iterable[int]) -> int:
     return m
 
 
+def _discrete(n: int) -> Tuple[int, ...]:
+    """The discrete order on 0..n-1: each world is its only successor."""
+    return tuple(1 << w for w in range(n))
+
+
+def _intransitive(succ) -> Optional[Tuple[int, int]]:
+    """A pair w <= v where v has a successor that w lacks, or None."""
+    for w, s in enumerate(succ):
+        for v in _bits(s):
+            if succ[v] & ~s:
+                return w, v
+    return None
+
+
 @dataclass(frozen=True)
 class NeighModel:
-    """Classical neighbourhood model."""
+    """Classical neighbourhood model: a constructive one on the discrete
+    order."""
     n: int
     neigh: Tuple[Tuple[int, ...], ...]   # per world: sorted neighbourhood masks
     val: Tuple[Tuple[int, int], ...]     # (atom index, extension mask), sorted
@@ -59,8 +84,9 @@ class NeighModel:
     def full(self) -> int:
         return (1 << self.n) - 1
 
-    def valuation(self) -> Dict[int, int]:
-        return dict(self.val)
+    @property
+    def succ(self) -> Tuple[int, ...]:
+        return _discrete(self.n)
 
 
 @dataclass(frozen=True)
@@ -77,92 +103,106 @@ class ConstructiveNeighModel:
     def full(self) -> int:
         return (1 << self.n) - 1
 
-    def valuation(self) -> Dict[int, int]:
-        return dict(self.val)
-
     def validate(self):
         for w in range(self.n):
             if not self.succ[w] & (1 << w):
                 raise ValueError("order not reflexive at %d" % w)
-            for v in _bits(self.succ[w]):
-                if self.succ[v] & ~self.succ[w]:
-                    raise ValueError("order not transitive at %d<=%d" % (w, v))
+        bad = _intransitive(self.succ)
+        if bad is not None:
+            raise ValueError("order not transitive at %d<=%d" % bad)
         for a, m in self.val:
             for w in _bits(m):
                 if self.succ[w] & ~m:
                     raise ValueError("valuation of p%d not hereditary" % a)
 
 
-Model = (NeighModel, ConstructiveNeighModel)
-
-
 # ---------------------------------------------------------------------------
 # Forcing
 
-def extension(model, f: Formula, memo: Optional[dict] = None) -> int:
+def _up(succ, m: int) -> int:
+    """Worlds all of whose successors lie in m."""
+    return _mask(w for w, s in enumerate(succ) if not s & ~m)
+
+
+def _locally(kind: str, neigh, b: int) -> int:
+    """Worlds where a box (some neighbourhood lies inside b) or a
+    diamond (every neighbourhood meets b) over a formula of extension b
+    holds locally."""
+    if kind == BOX:
+        return _mask(w for w, fam in enumerate(neigh)
+                     if any(not a & ~b for a in fam))
+    return _mask(w for w, fam in enumerate(neigh) if all(a & b for a in fam))
+
+
+class _Lazy(dict):
+    """The table m -> fn(m), each entry computed on first use, so that a
+    model with many worlds pays only for the masks a formula reaches."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, m):
+        v = self[m] = self.fn(m)
+        return v
+
+
+def _program(f: Formula):
+    """Compile f into instructions over a list of extensions, one slot
+    per subformula: the atoms first, by index, then the other subformulas
+    in complexity order, so that children come before parents and f comes
+    last.  Returns the atoms' indices, the instructions (slot, kind, left
+    slot, right slot) and the set of slots whose extension depends on the
+    neighbourhoods."""
+    order = sorted(subformulas(f),
+                   key=lambda g: (g.kind != ATOM, g.complexity, g.index))
+    slot = {g: i for i, g in enumerate(order)}
+    atoms = [g.index for g in order if g.kind == ATOM]
+    program, modal = [], set()
+    for g in order[len(atoms):]:
+        i, l, r = slot[g], slot.get(g.left), slot.get(g.right)
+        if g.kind in (BOX, DIA) or l in modal or r in modal:
+            modal.add(i)
+        program.append((i, g.kind, l, r))
+    return atoms, program, modal
+
+
+def _run(program, ext: list, full: int, up, local) -> list:
+    """Fill in ext, whose first slots hold the atoms' extensions, along
+    program.
+
+    These are the only forcing clauses.  up[m] is the set of worlds all
+    of whose successors lie in m, and local[kind][b] the set of worlds
+    where a box or diamond over a formula of extension b holds locally.
+    """
+    for i, k, l, r in program:
+        if k == AND:
+            ext[i] = ext[l] & ext[r]
+        elif k == OR:
+            ext[i] = ext[l] | ext[r]
+        elif k == IMP:
+            ext[i] = up[full & ~(ext[l] & ~ext[r])]
+        elif k == BOT:
+            ext[i] = 0
+        else:
+            ext[i] = up[local[k][ext[l]]]
+    return ext
+
+
+def extension(model, f: Formula) -> int:
     """Mask of worlds forcing f."""
-    if memo is None:
-        memo = {}
-    m = memo.get(f)
-    if m is not None:
-        return m
-    full = model.full
-    k = f.kind
-    if k == BOT:
-        m = 0
-    elif k == ATOM:
-        m = model.valuation().get(f.index, 0)
-    elif k == AND:
-        m = extension(model, f.left, memo) & extension(model, f.right, memo)
-    elif k == OR:
-        m = extension(model, f.left, memo) | extension(model, f.right, memo)
-    elif k == IMP:
-        a = extension(model, f.left, memo)
-        b = extension(model, f.right, memo)
-        if model.kind == CLASSICAL:
-            m = (~a | b) & full
-        else:
-            bad = a & ~b    # worlds where the implication fails locally
-            m = 0
-            for w in range(model.n):
-                if not model.succ[w] & bad:
-                    m |= 1 << w
-    elif k in (BOX, DIA):
-        b = extension(model, f.left, memo)
-        if model.kind == CLASSICAL:
-            m = 0
-            for w in range(model.n):
-                fam = model.neigh[w]
-                if k == BOX:
-                    ok = any(not a & ~b for a in fam)
-                else:
-                    ok = all(a & b for a in fam)
-                if ok:
-                    m |= 1 << w
-        else:
-            local = 0
-            for w in range(model.n):
-                fam = model.neigh[w]
-                if k == BOX:
-                    ok = any(not a & ~b for a in fam)
-                else:
-                    ok = all(a & b for a in fam)
-                if ok:
-                    local |= 1 << w
-            m = 0
-            for w in range(model.n):
-                if not model.succ[w] & ~local:
-                    m |= 1 << w
-    else:
-        raise ValueError("unknown formula kind %r" % k)
-    memo[f] = m
-    return m
+    atoms, program, _ = _program(f)
+    val = dict(model.val)
+    ext = [val.get(a, 0) for a in atoms] + [0] * len(program)
+    up = _Lazy(partial(_up, model.succ))
+    local = {k: _Lazy(partial(_locally, k, model.neigh)) for k in (BOX, DIA)}
+    return _run(program, ext, model.full, up, local)[-1]
 
 
-def forces(model, world: int, f: Formula, memo: Optional[dict] = None) -> bool:
+def forces(model, world: int, f: Formula) -> bool:
     if not 0 <= world < model.n:
         raise ValueError("world %d not in model" % world)
-    return bool(extension(model, f, memo) & (1 << world))
+    return bool(extension(model, f) & (1 << world))
 
 
 def valid_in_model(model, f: Formula) -> bool:
@@ -183,32 +223,28 @@ class ConditionReport:
         return all(self.status.values())
 
 
+def _violation(cond: str, w: int, fam) -> Optional[tuple]:
+    """A witness that the family fam of world w breaks cond, or None."""
+    if cond == "N":
+        return None if fam else (w,)
+    if cond == "P":
+        return (w, 0) if 0 in fam else None
+    if cond == "T":
+        return next(((w, a) for a in fam if not a & (1 << w)), None)
+    if cond == "C":
+        return next(((w, a, b) for a in fam for b in fam
+                     if (a & b) not in fam), None)
+    if cond == "D":
+        return next(((w, a, b) for a in fam for b in fam if not a & b), None)
+    raise ValueError("unknown condition %r" % cond)
+
+
 def _check_condition(model, cond: str):
     """Returns (holds, witness or None)."""
-    for w in range(model.n):
-        fam = model.neigh[w]
-        if cond == "N":
-            if not fam:
-                return False, (w,)
-        elif cond == "P":
-            if 0 in fam:
-                return False, (w, 0)
-        elif cond == "T":
-            for a in fam:
-                if not a & (1 << w):
-                    return False, (w, a)
-        elif cond == "C":
-            for a in fam:
-                for b in fam:
-                    if (a & b) not in fam:
-                        return False, (w, a, b)
-        elif cond == "D":
-            for a in fam:
-                for b in fam:
-                    if not a & b:
-                        return False, (w, a, b)
-        else:
-            raise ValueError("unknown condition %r" % cond)
+    for w, fam in enumerate(model.neigh):
+        wit = _violation(cond, w, fam)
+        if wit is not None:
+            return False, wit
     return True, None
 
 
@@ -242,21 +278,15 @@ def random_model(logic: Logic, max_worlds: int, seed: int,
     for _ in range(tries):
         n = rng.randint(1, max_worlds)
         full = (1 << n) - 1
+        succ = list(_discrete(n))
         if logic.mode == CONSTRUCTIVE:
             base = [[rng.random() < 0.3 for _ in range(n)] for _ in range(n)]
             succ = [ (1 << w) | _mask(v for v in range(n) if base[w][v])
                      for w in range(n) ]
             # transitive closure
-            changed = True
-            while changed:
-                changed = False
-                for w in range(n):
-                    m = succ[w]
-                    for v in _bits(m):
-                        m |= succ[v]
-                    if m != succ[w]:
-                        succ[w] = m
-                        changed = True
+            while (bad := _intransitive(succ)) is not None:
+                w, v = bad
+                succ[w] |= succ[v]
         neigh = []
         for w in range(n):
             k = rng.randint(0, 3)
@@ -266,24 +296,16 @@ def random_model(logic: Logic, max_worlds: int, seed: int,
             if "T" in conds:
                 fam = {a | (1 << w) for a in fam}
             if "C" in conds:
-                while True:
-                    extra = {a & b for a in fam for b in fam} - fam
-                    if not extra:
-                        break
-                    fam |= extra
+                fam = set(_close_intersection(fam))
             neigh.append(tuple(sorted(fam)))
         val = []
         for a in range(1, num_atoms + 1):
             m = rng.randint(0, full)
-            if logic.mode == CONSTRUCTIVE:
-                # upward closure keeps the valuation hereditary
-                for w in list(_bits(m)):
-                    m |= succ[w]
+            # upward closure keeps the valuation hereditary
+            for w in _bits(m):
+                m |= succ[w]
             val.append((a, m))
-        if logic.mode == CONSTRUCTIVE:
-            model = ConstructiveNeighModel(n, tuple(succ), tuple(neigh), tuple(val))
-        else:
-            model = NeighModel(n, tuple(neigh), tuple(val))
+        model = _assemble(logic, n, tuple(succ), tuple(neigh), tuple(val))
         if conditions_hold(model, conds):
             return model
     raise ResamplingExhausted("no %s-model found in %d tries" % (logic.name, tries))
@@ -292,26 +314,18 @@ def random_model(logic: Logic, max_worlds: int, seed: int,
 # ---------------------------------------------------------------------------
 # Exhaustive countermodel search
 
-def _antichains(n: int) -> List[Tuple[int, ...]]:
+@cache
+def _antichains(n: int) -> Tuple[Tuple[int, ...], ...]:
     """All inclusion-antichains of subsets of 0..n-1, in bitmask order."""
-    masks = list(range(1 << n))
-    out = []
-    for fam_bits in range(1 << len(masks)):
-        fam = [m for m in masks if fam_bits >> m & 1]
-        ok = True
-        for i, a in enumerate(fam):
-            for b in fam[i + 1:]:
-                if a & b == a or a & b == b:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(fam))
-    return out
+    out = [()]
+    for m in range(1 << n):
+        # each member a is a smaller mask than m, so only a inside m can
+        # make the two comparable
+        out += [fam + (m,) for fam in out if all(a & m != a for a in fam)]
+    return tuple(sorted(out, key=lambda fam: sum(1 << a for a in fam)))
 
 
-def _close_intersection(fam: Tuple[int, ...]) -> Tuple[int, ...]:
+def _close_intersection(fam) -> Tuple[int, ...]:
     out = set(fam)
     while True:
         extra = {a & b for a in out for b in out} - out
@@ -320,191 +334,111 @@ def _close_intersection(fam: Tuple[int, ...]) -> Tuple[int, ...]:
         out |= extra
 
 
-def _families(n: int, conds, w: int) -> List[Tuple[int, ...]]:
+@cache
+def _families(n: int, conds, w: int) -> Tuple[Tuple[int, ...], ...]:
     """Candidate neighbourhood families for world w under conds."""
-    out = []
-    for fam in _antichains(n):
-        final = _close_intersection(fam) if "C" in conds else fam
-        ok = True
-        for c in conds:
-            if c == "N":
-                ok = bool(final)
-            elif c == "P":
-                ok = 0 not in final
-            elif c == "T":
-                ok = all(a >> w & 1 for a in final)
-            elif c == "D":
-                ok = all(a & b for a in final for b in final)
-            elif c == "C":
-                ok = True  # by closure
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(sorted(final)))
+    fams = (_close_intersection(a) if "C" in conds else a
+            for a in _antichains(n))
     # closure can identify distinct antichains' families
-    seen = set()
-    uniq = []
-    for fam in out:
-        if fam not in seen:
-            seen.add(fam)
-            uniq.append(fam)
-    return uniq
+    return tuple(dict.fromkeys(
+        fam for fam in fams
+        if all(_violation(c, w, fam) is None for c in conds)))
 
 
-def _preorders(n: int) -> List[Tuple[int, ...]]:
+@cache
+def _preorders(n: int) -> Tuple[Tuple[int, ...], ...]:
     """All preorders on 0..n-1 as successor-mask tuples."""
     pairs = [(w, v) for w in range(n) for v in range(n) if w != v]
     out = []
     for bits in range(1 << len(pairs)):
-        succ = [1 << w for w in range(n)]
+        succ = list(_discrete(n))
         for i, (w, v) in enumerate(pairs):
             if bits >> i & 1:
                 succ[w] |= 1 << v
-        ok = True
-        for w in range(n):
-            for v in _bits(succ[w]):
-                if succ[v] & ~succ[w]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if _intransitive(succ) is None:
             out.append(tuple(succ))
-    return out
+    return tuple(out)
 
 
-def _upclosed_masks(n: int, succ) -> List[int]:
-    out = []
-    for m in range(1 << n):
-        if all(not succ[w] & ~m for w in _bits(m)):
-            out.append(m)
-    return out
+@cache
+def _column(kind: str, fam, w: int, n: int) -> Tuple[int, ...]:
+    """For every extension b over n worlds, world w's bit of
+    local[kind][b] when w has the family fam."""
+    return tuple(_locally(kind, (fam,), b) << w for b in range(1 << n))
 
 
-def _topo_order(f: Formula):
-    """Subformulas, children before parents, with a modal-dependence flag."""
-    order = []
-    seen = {}
-
-    def visit(g):
-        if g in seen:
-            return seen[g]
-        modal = g.kind in (BOX, DIA)
-        if g.left is not None:
-            modal |= visit(g.left)
-        if g.right is not None:
-            modal |= visit(g.right)
-        seen[g] = modal
-        order.append(g)
-        return modal
-
-    visit(f)
-    return order, seen
+def _local_table(neigh, n: int) -> dict:
+    """local for _run, in full, for worlds 0..n-1 with the families
+    neigh.  The worlds' bits are disjoint, so their sum is their union."""
+    table = {}
+    for k in (BOX, DIA):
+        columns = [_column(k, fam, w, n) for w, fam in enumerate(neigh)]
+        table[k] = [sum(bits) for bits in zip(*columns)]
+    return table
 
 
-def _fam_tables(fams, n):
-    """Per family: for each candidate extension b, whether the box/dia
-    clause holds locally."""
-    tabs = {}
-    for fam in fams:
-        if fam in tabs:
-            continue
-        boxtab = []
-        diatab = []
-        for b in range(1 << n):
-            boxtab.append(any(not a & ~b for a in fam))
-            diatab.append(all(a & b for a in fam))
-        tabs[fam] = (tuple(boxtab), tuple(diatab))
-    return tabs
-
-
-def enumerate_countermodel(logic: Logic, f: Formula, max_worlds: int = 3):
+def enumerate_countermodel(logic: Logic, f: Formula, max_worlds: int = 3,
+                           budget: Budget = Budget()):
     """First (model, world) refuting f among all models of logic's class
-    with at most max_worlds worlds, up to forcing equivalence; else None."""
-    atoms = sorted(g.index for g in _subformulas(f) if g.kind == ATOM)
-    constructive = logic.mode == CONSTRUCTIVE
-    conds = logic.conditions
-    order_list, modal_flag = _topo_order(f)
-    static_part = [g for g in order_list if not modal_flag[g]]
-    modal_part = [g for g in order_list if modal_flag[g]]
+    with at most max_worlds worlds, up to forcing equivalence; else None.
+
+    Raises BudgetExceeded, counting each model tried as a node, when
+    budget's time runs out or when the search would have to go past
+    MAX_WORLDS worlds.
+    """
+    if max_worlds < 1:
+        raise ValueError("max_worlds must be at least 1, not %d" % max_worlds)
+    start = time.monotonic()
+    deadline = start + budget.timeout_secs
+    tried = 0
+
+    def exceeded(reason):
+        return BudgetExceeded(reason, tried, time.monotonic() - start)
+
+    atoms, program, modal = _program(f)
+    static = [ins for ins in program if ins[0] not in modal]
+    dynamic = [ins for ins in program if ins[0] in modal]
+    rest = [0] * len(program)       # the slots after the atoms
     for n in range(1, max_worlds + 1):
+        if n > MAX_WORLDS:
+            raise exceeded("more than %d worlds" % MAX_WORLDS)
         full = (1 << n) - 1
-        fams_per_world = [_families(n, conds, w) for w in range(n)]
-        tabs = _fam_tables({fam for fams in fams_per_world for fam in fams}, n)
-        neigh_choices = list(itertools.product(*fams_per_world))
-        orders = _preorders(n) if constructive else [None]
+        fams = [_families(n, logic.conditions, w) for w in range(n)]
+        first = tuple(fs[0] for fs in fams)
+        tables = []     # local of each neighbourhood choice, by position
+        orders = (_preorders(n) if logic.mode == CONSTRUCTIVE
+                  else (_discrete(n),))
         for succ in orders:
-            if constructive:
-                vmasks = _upclosed_masks(n, succ)
-                # up[m] = worlds all of whose successors lie inside m
-                up = [0] * (1 << n)
-                for m in range(1 << n):
-                    x = 0
-                    for w in range(n):
-                        if not succ[w] & ~m:
-                            x |= 1 << w
-                    up[m] = x
-            else:
-                vmasks = list(range(1 << n))
-                up = None
-            for vals in itertools.product(vmasks, repeat=len(atoms)):
-                ext = {}
-                base = dict(zip(atoms, vals))
-                for g in static_part:
-                    k = g.kind
-                    if k == BOT:
-                        ext[g] = 0
-                    elif k == ATOM:
-                        ext[g] = base.get(g.index, 0)
-                    elif k == AND:
-                        ext[g] = ext[g.left] & ext[g.right]
-                    elif k == OR:
-                        ext[g] = ext[g.left] | ext[g.right]
-                    else:  # IMP
-                        bad = ext[g.left] & ~ext[g.right]
-                        ext[g] = up[~bad & full] if constructive else (~bad & full)
-                if not modal_part:
-                    m = ext[f]
+            up = [_up(succ, m) for m in range(full + 1)]
+            upsets = [m for m in range(full + 1) if up[m] == m]
+            for vals in itertools.product(upsets, repeat=len(atoms)):
+                if time.monotonic() > deadline:
+                    raise exceeded("timeout")
+                ext = _run(static, [*vals, *rest], full, up, None)
+                choices = itertools.product(*fams) if dynamic else [first]
+                for i, neigh in enumerate(choices):
+                    if i < len(tables):
+                        local = tables[i]
+                    else:
+                        local = _local_table(neigh, n)
+                        if i < _KEPT_CHOICES:
+                            tables.append(local)
+                    m = _run(dynamic, ext, full, up, local)[-1]
                     if m != full:
-                        model = _assemble(logic, n, succ, neigh_choices[0], atoms, vals)
+                        model = _assemble(logic, n, succ, neigh,
+                                          tuple(zip(atoms, vals)))
                         return model, _bits(full & ~m)[0]
-                    continue
-                for neigh in neigh_choices:
-                    wtabs = [tabs[fam] for fam in neigh]
-                    for g in modal_part:
-                        k = g.kind
-                        if k == AND:
-                            ext[g] = ext[g.left] & ext[g.right]
-                        elif k == OR:
-                            ext[g] = ext[g.left] | ext[g.right]
-                        elif k == IMP:
-                            bad = ext[g.left] & ~ext[g.right]
-                            ext[g] = up[~bad & full] if constructive else (~bad & full)
-                        else:
-                            b = ext[g.left]
-                            idx = 0 if k == BOX else 1
-                            local = 0
-                            for w in range(n):
-                                if wtabs[w][idx][b]:
-                                    local |= 1 << w
-                            ext[g] = up[local] if constructive else local
-                    m = ext[f]
-                    if m != full:
-                        model = _assemble(logic, n, succ, neigh, atoms, vals)
-                        return model, _bits(full & ~m)[0]
+                    if i & 0xFFF == 0xFFF and time.monotonic() > deadline:
+                        tried += i
+                        raise exceeded("timeout")
+                tried += i + 1
     return None
 
 
-def _assemble(logic, n, succ, neigh, atoms, vals):
-    val = tuple(zip(atoms, vals))
+def _assemble(logic, n, succ, neigh, val):
     if logic.mode == CONSTRUCTIVE:
         return ConstructiveNeighModel(n, succ, neigh, val)
     return NeighModel(n, neigh, val)
-
-
-def _subformulas(f):
-    from .syntax import subformulas
-    return subformulas(f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Command-line interface: exit codes and structured output."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
 
 from wmodal import cli, prover, semantics, syntax
 from wmodal.logics import get_logic
@@ -14,7 +19,7 @@ def run(capsys, *argv):
 
 def structured_lines(out):
     records = [json.loads(line) for line in out.splitlines() if line]
-    assert all(r["version"] == 1 for r in records)
+    assert all(r["version"] == 2 for r in records)
     return records
 
 
@@ -51,6 +56,37 @@ def test_prove_structured_output(capsys):
     (rec,) = structured_lines(out)
     assert rec["status"] == "proved"
     assert rec["derivation"]["rule"] == "Rimp"
+
+
+# Its proof has 406 distinct nodes and about 2.4e10 as a tree.
+MCT_SHARED = ("[]<>bot, []p1, []<>p2, [](bot -> p2), [](p1 | p1), "
+              "[](p1 | p2), [](p3 | p1), <><>p1 |- <>[]<>p1")
+
+
+def test_prove_renders_shared_proof_once(capsys):
+    t0 = time.monotonic()
+    code, text = run(capsys, "prove", "--logic", "MCT", MCT_SHARED)
+    assert code == 0
+    code, out = run(capsys, "prove", "--logic", "MCT", "--format",
+                    "structured", MCT_SHARED)
+    assert code == 0
+    assert time.monotonic() - t0 < 5
+    (rec,) = structured_lines(out)
+    assert rec["derivation"]["rule"] == "Tbox"
+    ids, refs, stack = [], [], [rec["derivation"]]
+    while stack:
+        doc = stack.pop()
+        if "ref" in doc:
+            assert doc["ref"] in ids    # every reference follows its target
+            refs.append(doc["ref"])
+        else:
+            ids.append(doc.get("id"))
+            stack.extend(reversed(doc["premises"]))
+    labelled = [i for i in ids if i is not None]
+    assert labelled == list(range(1, len(labelled) + 1)) and refs
+    lines = text.splitlines()
+    assert len(lines) == len(ids) + len(refs)
+    assert sum("[see #" in line for line in lines) == len(refs)
 
 
 def test_decide_exit_codes(capsys):
@@ -104,6 +140,40 @@ def test_countermodel_none_for_theorem(capsys):
     code, _ = run(capsys, "countermodel", "--logic", "WM", "p1 -> p1",
                   "--max-worlds", "2")
     assert code == 1
+
+
+def cli_limited(*argv):
+    """Run the CLI in a subprocess under a 1 GB address-space limit;
+    returns (exit code, seconds)."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "wmodal.cli", *argv],
+                          preexec_fn=limit, env=env, capture_output=True,
+                          timeout=60)
+    return proc.returncode, time.monotonic() - t0
+
+
+def test_countermodel_timeout_exit_two():
+    # 4 worlds: 168 families per world, 8e8 neighbourhood choices.
+    code, secs = cli_limited("countermodel", "--logic", "M", "[]p1 -> []p1",
+                             "--max-worlds", "4", "--timeout-secs", "1")
+    assert code == 2 and secs < 5
+
+
+def test_countermodel_without_modal_part_skips_neighbourhoods():
+    code, secs = cli_limited("countermodel", "--logic", "M", "p1 -> p1",
+                             "--max-worlds", "4", "--timeout-secs", "1")
+    assert code == 1 and secs < 5
+
+
+def test_countermodel_bad_max_worlds_exit_64(capsys):
+    for n in ("0", "-2"):
+        assert run(capsys, "countermodel", "--logic", "M", "p1",
+                   "--max-worlds", n)[0] == 64
 
 
 def test_check_model_roundtrip(tmp_path, capsys):

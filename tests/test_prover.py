@@ -119,6 +119,41 @@ def test_derivation_heights():
                                       default=-1)
 
 
+def _shared_leaf_derivation():
+    leaf = Derivation("init", Sequent((p,), (p,), CONSTRUCTIVE))
+    mid = Derivation("Rand", Sequent((p,), (conj(p, p),), CONSTRUCTIVE),
+                     (), (leaf, leaf))
+    root = Derivation("Rimp", Sequent((), (imp(p, conj(p, p)),), CONSTRUCTIVE),
+                      (), (mid,))
+    return root, mid, leaf
+
+
+def test_steps_yields_each_node_once_in_preorder():
+    root, mid, leaf = _shared_leaf_derivation()
+    assert list(root.steps()) == [root, mid, leaf]
+
+
+def test_pretty_prints_shared_subderivation_once():
+    root, mid, leaf = _shared_leaf_derivation()
+    assert root.pretty().splitlines() == [
+        "%s   [Rimp]" % root.conclusion,
+        "  %s   [Rand]" % mid.conclusion,
+        "    %s   [init]   #1" % leaf.conclusion,
+        "    %s   [see #1]" % leaf.conclusion,
+    ]
+
+
+def test_derivation_doc_refers_to_shared_subderivation():
+    from wmodal.cli import _derivation_doc
+    root, mid, leaf = _shared_leaf_derivation()
+    s = str(leaf.conclusion)
+    assert _derivation_doc(root) == {
+        "rule": "Rimp", "sequent": str(root.conclusion), "premises": [
+            {"rule": "Rand", "sequent": str(mid.conclusion), "premises": [
+                {"rule": "init", "sequent": s, "premises": [], "id": 1},
+                {"ref": 1, "sequent": s}]}]}
+
+
 def test_check_visits_each_shared_node_once(monkeypatch):
     # An 81-node proof whose tree unfolding has about 900,000 nodes.
     wkt = get_logic("WKT")

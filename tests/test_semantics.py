@@ -1,17 +1,21 @@
 """Neighbourhood models: forcing, conditions, generation, countermodels."""
 
+import hashlib
 import random
 
 import pytest
 
-from wmodal import prover, sampling, semantics
+from wmodal import prover, sampling, semantics, syntax
 from wmodal.logics import LOGICS, get_logic
+from wmodal.prover import Budget, BudgetExceeded
 from wmodal.semantics import (ConstructiveNeighModel, NeighModel,
                               check_conditions, conditions_hold,
                               enumerate_countermodel, extension, forces,
                               model_from_json, model_to_json, random_model,
                               valid_in_model)
-from wmodal.syntax import atom, bot, box, dia, neg, parse, top
+from wmodal.sequents import CLASSICAL
+from wmodal.syntax import AND, ATOM, BOT, BOX, IMP, OR, atom, bot, box, dia, \
+    neg, parse, top
 
 p = atom(1)
 
@@ -45,6 +49,82 @@ def test_constructive_implication_quantifies_over_successors():
     m = ConstructiveNeighModel(2, (3, 2), ((), ()), ((1, 2),))
     assert not forces(m, 0, parse("p1 -> p2"))
     assert forces(m, 0, neg(p)) is False  # p is forced at the successor
+
+
+def reference_extension(model, f, memo=None):
+    """Forcing clause by clause, recursively: the evaluator that the
+    single compiled one replaced, kept as the reference."""
+    if memo is None:
+        memo = {}
+    m = memo.get(f)
+    if m is not None:
+        return m
+    full = model.full
+    k = f.kind
+    if k == BOT:
+        m = 0
+    elif k == ATOM:
+        m = dict(model.val).get(f.index, 0)
+    elif k == AND:
+        m = reference_extension(model, f.left, memo) & \
+            reference_extension(model, f.right, memo)
+    elif k == OR:
+        m = reference_extension(model, f.left, memo) | \
+            reference_extension(model, f.right, memo)
+    elif k == IMP:
+        a = reference_extension(model, f.left, memo)
+        b = reference_extension(model, f.right, memo)
+        if model.kind == CLASSICAL:
+            m = (~a | b) & full
+        else:
+            bad = a & ~b    # worlds where the implication fails locally
+            m = 0
+            for w in range(model.n):
+                if not model.succ[w] & bad:
+                    m |= 1 << w
+    else:
+        b = reference_extension(model, f.left, memo)
+        local = 0
+        for w in range(model.n):
+            fam = model.neigh[w]
+            if k == BOX:
+                ok = any(not a & ~b for a in fam)
+            else:
+                ok = all(a & b for a in fam)
+            if ok:
+                local |= 1 << w
+        m = local
+        if model.kind != CLASSICAL:
+            m = 0
+            for w in range(model.n):
+                if not model.succ[w] & ~local:
+                    m |= 1 << w
+    memo[f] = m
+    return m
+
+
+def test_extension_matches_reference():
+    rng = random.Random(29)
+    names = sorted(LOGICS)
+    for _ in range(300):
+        m = random_model(LOGICS[rng.choice(names)], 4, rng.getrandbits(32))
+        for _ in range(8):
+            f = sampling.random_formula(rng, rng.randint(1, 9))
+            assert extension(m, f) == reference_extension(m, f), \
+                (model_to_json(m), syntax.render(f))
+
+
+def test_classical_model_is_discrete_constructive_model():
+    rng = random.Random(31)
+    for _ in range(200):
+        m = random_model(get_logic(rng.choice(["M", "MC", "MN", "K", "KT"])),
+                         4, rng.getrandbits(32))
+        assert m.succ == tuple(1 << w for w in range(m.n))
+        c = ConstructiveNeighModel(m.n, m.succ, m.neigh, m.val)
+        c.validate()
+        for _ in range(5):
+            f = sampling.random_formula(rng, rng.randint(1, 9))
+            assert extension(m, f) == extension(c, f)
 
 
 def test_world_out_of_range():
@@ -157,6 +237,39 @@ def test_countermodel_wm_refutes_excluded_middle():
     assert found is not None
     model, world = found
     assert not forces(model, world, f)
+
+
+def test_countermodel_witnesses_unchanged():
+    # Digest of the (model, world) found for every (logic, formula) pair
+    # of the size <= 4 two-atom space at 2 worlds, as the recursive
+    # evaluator with per-world clause loops found them.
+    h = hashlib.sha256()
+    for name in sorted(LOGICS):
+        for f in sampling.formulas_up_to_size(4, 2):
+            hit = enumerate_countermodel(LOGICS[name], f, 2)
+            doc = "none" if hit is None else \
+                "%s@%d" % (model_to_json(hit[0]), hit[1])
+            h.update(("%s\t%s\t%s\n" % (name, syntax.render(f), doc)).encode())
+    assert h.hexdigest() == \
+        "93dee183899d0a32f1ed8768d002d03ae15935240d1bf17eb1643d6fc01399e7"
+
+
+def test_countermodel_search_honours_timeout():
+    # 168 families per world at 4 worlds: the product has 8e8 choices.
+    with pytest.raises(BudgetExceeded) as e:
+        enumerate_countermodel(get_logic("M"), parse("[]p1 -> []p1"), 4,
+                               Budget(timeout_secs=0.2))
+    assert e.value.reason == "timeout"
+
+
+def test_countermodel_search_bounds_worlds():
+    assert enumerate_countermodel(get_logic("M"), p, 9) is not None
+    with pytest.raises(BudgetExceeded):
+        enumerate_countermodel(get_logic("M"), parse("p1 -> p1"),
+                               semantics.MAX_WORLDS + 1)
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            enumerate_countermodel(get_logic("M"), p, bad)
 
 
 # ---------------------------------------------------------------------------
