@@ -15,7 +15,10 @@ name without the leading "i", except that
 - idualandK and iCDbox are Kdia and CD at the conclusion with its
   succedent weakened away, and iCDbox needs a box;
 - iTdia replaces its principal by the subformula, where Tdia adds it.
-Of the propositional rules only Limp and Ror differ by mode.  The
+Of the propositional rules only Limp and Ror differ by mode.  A
+constructive modal rule without context lists its succedent principal
+first, and has one exactly when its premise has a succedent formula;
+the one modal case of interpolation reads its principals so.  The
 schemata follow Lavendhomme & Lucas (Studia Logica 2000) and Orlandelli
 (Logic and Logical Philosophy 2021).
 

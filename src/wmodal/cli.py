@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 negative answer (not derivable / no
 countermodel / violations found), 2 budget exhausted, 64 usage or parse
-errors.  `--format structured` emits line-delimited JSON with a version
-field.
+errors, 70 internal error (any other exception: one line on stderr, no
+traceback, never read as a negative answer).  `--format structured`
+emits line-delimited JSON with a version field.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ EX_OK = 0
 EX_NEGATIVE = 1
 EX_BUDGET = 2
 EX_USAGE = 64
+EX_SOFTWARE = 70
 
 FORMAT_VERSION = 2
 
@@ -113,16 +115,6 @@ def cmd_interpolate(args, out):
                   "status": "not-a-theorem"}, str(e))
         return EX_NEGATIVE
     c = res.interpolant
-    if args.simplify:
-        simpler = interpolation.simplify(c)
-        if simpler is not c:
-            try:
-                res = interpolation._certify(
-                    logic, simpler, frozenset({a}), frozenset(), (b,),
-                    _budget(args))
-                c = simpler
-            except interpolation.CertificateError:
-                pass
     out.emit({"command": "interpolate", "logic": logic.name,
               "status": "ok", "interpolant": syntax.render(c),
               "left_certificate": _derivation_doc(res.left_certificate),
@@ -239,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--simplify", action="store_true")
     p.set_defaults(fn=cmd_interpolate)
 
     p = sub.add_parser("countermodel", help="exhaustive countermodel search")
@@ -283,6 +274,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         print("budget exceeded: %s" % e, file=sys.stderr)
         return EX_BUDGET
+    except Exception as e:
+        print("internal error: %r" % (e,), file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

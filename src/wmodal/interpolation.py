@@ -2,10 +2,18 @@
 
 Given a cut-free derivation of Γ₁,Γ₂ ⇒ Δ, the extractor computes C with
 Γ₁ ⇒ C and C,Γ₂ ⇒ Δ derivable and var(C) ⊆ var(Γ₁) ∩ var(Γ₂,Δ).  The
-succedent always stays with the right part.  Certificates are produced
-by re-running the prover on the two contract sequents, never by
-transforming the input derivation, so an error anywhere in the case
-table surfaces as a certificate failure rather than a wrong answer.
+succedent always stays with the right part.
+
+The case table is read off the rule table of `calculus`: the closure,
+propositional and T rules have a case each, and all context-free modal
+rules share one (Orlandelli, Logic and Logical Philosophy 2021).
+Premise interpolants are combined with top and bot absorbed, so the
+interpolant certified is built free of constants wherever it can be.
+
+Certificates are produced by re-running the prover on the two contract
+sequents, never by transforming the input derivation, so an error
+anywhere in the case table surfaces as a certificate failure rather than
+a wrong answer.
 """
 
 from __future__ import annotations
@@ -14,10 +22,12 @@ from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
 from . import prover, syntax
+from .calculus import RULES
 from .logics import Logic
 from .prover import Budget, Derivation
 from .sequents import CONSTRUCTIVE, Sequent, norm_side
-from .syntax import Formula, bot, box, conj, dia, disj, imp, top, var_set_all
+from .syntax import (DIA, Formula, bot, box, conj, dia, disj, imp, top,
+                     var_set_all)
 
 
 class NotATheoremError(ValueError):
@@ -131,21 +141,21 @@ def _case(d: Derivation, left: FrozenSet[Formula], interp) -> Formula:
         f = pr[0]
         c1 = sub(kids[0], (left - {f}) | ({f.left} if f in left else set()))
         c2 = sub(kids[1], (left - {f}) | ({f.right} if f in left else set()))
-        return disj(c1, c2) if f in left else conj(c1, c2)
+        return _or(c1, c2) if f in left else _and(c1, c2)
     if rule == "Limp":
         f = pr[0]
         if f not in left:
             c1 = sub(kids[0], left)
             c2 = sub(kids[1], left)
-            return conj(c1, c2)
+            return _and(c1, c2)
         # Left-sided principal: interpolate the first premise with the
         # partition swapped, then implication-combine.
         swapped = set(kids[0].conclusion.ant) - left
         dd = sub(kids[0], swapped)
         c2 = sub(kids[1], (left - {f}) | {f.right})
-        return imp(dd, c2)
+        return _imp(dd, c2)
     if rule == "Rand":
-        return conj(sub(kids[0], left), sub(kids[1], left))
+        return _and(sub(kids[0], left), sub(kids[1], left))
     if rule == "Ror":
         return sub(kids[0], left)
     if rule == "Rimp":
@@ -159,107 +169,49 @@ def _case(d: Derivation, left: FrozenSet[Formula], interp) -> Formula:
     if rule == "iTdia":
         return sub(kids[0], left)
 
-    # -- context-free modal rules -----------------------------------------
-    if rule == "iMbox":
-        src = pr[1]
-        return box(sub(kids[0], {src.left})) if src in left else top
-    if rule == "iMdia":
-        src = pr[1]
-        return dia(sub(kids[0], {src.left})) if src in left else top
-    if rule == "iD":
-        src = pr[1]
-        return box(sub(kids[0], {src.left})) if src in left else top
-    if rule == "idualandM":
-        fb, fd = pr
-        bl, dl = fb in left, fd in left
-        if bl and dl:
-            return bot
-        if bl:
-            return box(sub(kids[0], {fb.left}))
-        if dl:
-            return dia(sub(kids[0], {fd.left}))
-        return top
-    if rule == "iDbox":
-        f, g = pr
-        fl, gl = f in left, g in left
-        if fl and gl:
-            return bot
-        if fl:
-            return box(sub(kids[0], {f.left}))
-        if gl:
-            return box(sub(kids[0], {g.left}))
-        return top
-    if rule == "iNbox" or rule == "iPdia":
-        return top
-    if rule == "iNdia" or rule == "iPbox":
-        return bot if pr[0] in left else top
-
-    # -- boxed-context modal rules ----------------------------------------
-    if rule in ("iCbox", "iKbox", "iCD"):
-        boxes = pr[1:]
-        bl = {b.left for b in boxes if b in left}
-        return box(sub(kids[0], bl)) if bl else top
-    if rule == "iCDbox":
-        boxes = pr
-        bl = {b.left for b in boxes if b in left}
-        br = {b.left for b in boxes if b not in left}
-        if not bl:
+    # -- context-free modal rules: one case for all -----------------------
+    # The succedent principal comes first, present exactly when the one
+    # premise has a succedent formula (see `calculus`).
+    if not RULES[rule].contextual:
+        premise = kids[0]
+        ant = pr[1:] if premise.conclusion.suc else pr
+        own = [f for f in ant if f in left]
+        if not own:
             return top
-        if not br:
+        if not premise.conclusion.suc and len(own) == len(ant):
             return bot
-        return box(sub(kids[0], bl))
-    if rule in ("iCdia", "iKdia"):
-        f = pr[1]
-        boxes = pr[2:]
-        bl = {b.left for b in boxes if b in left}
-        if f in left:
-            return dia(sub(kids[0], bl | {f.left}))
-        return box(sub(kids[0], bl)) if bl else top
-    if rule in ("idualandC", "idualandK"):
-        f = pr[0]
-        boxes = pr[1:]
-        bl = {b.left for b in boxes if b in left}
-        br = {b.left for b in boxes if b not in left}
-        if f in left:
-            if br:
-                return dia(sub(kids[0], bl | {f.left}))
-            return bot
-        return box(sub(kids[0], bl)) if bl else top
+        c = sub(premise, {f.left for f in own})
+        return dia(c) if any(f.kind == DIA for f in own) else box(c)
 
     raise CertificateError("no interpolation case for rule %r" % rule)
 
 
-# ---------------------------------------------------------------------------
-# Optional cosmetic simplification (CLI flag); certificate validity is
-# re-checked by the caller after simplification.
+# The connectives that combine premise interpolants absorb top and bot, so
+# an interpolant is built free of constants wherever it can be.
 
-def simplify(f: Formula) -> Formula:
-    from .syntax import AND, BOX, DIA, IMP, OR
-    if f.kind in (AND, OR, IMP):
-        a, b = simplify(f.left), simplify(f.right)
-        if f.kind == AND:
-            if a is top:
-                return b
-            if b is top:
-                return a
-            if a is bot or b is bot:
-                return bot
-            return conj(a, b)
-        if f.kind == OR:
-            if a is bot:
-                return b
-            if b is bot:
-                return a
-            if a is top or b is top:
-                return top
-            return disj(a, b)
-        if a is bot or b is top:
-            return top
-        if a is top:
-            return b
-        return imp(a, b)
-    if f.kind == BOX:
-        return box(simplify(f.left))
-    if f.kind == DIA:
-        return dia(simplify(f.left))
-    return f
+def _and(a: Formula, b: Formula) -> Formula:
+    if a is top:
+        return b
+    if b is top:
+        return a
+    if a is bot or b is bot:
+        return bot
+    return conj(a, b)
+
+
+def _or(a: Formula, b: Formula) -> Formula:
+    if a is bot:
+        return b
+    if b is bot:
+        return a
+    if a is top or b is top:
+        return top
+    return disj(a, b)
+
+
+def _imp(a: Formula, b: Formula) -> Formula:
+    if a is bot or b is top:
+        return top
+    if a is top:
+        return b
+    return imp(a, b)

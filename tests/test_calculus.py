@@ -1,6 +1,7 @@
 """Rule catalogues, axiom instantiation, backward matching, step checking."""
 
 import random
+import zlib
 
 import pytest
 
@@ -238,9 +239,32 @@ def _random_sequent(rng, mode):
 @pytest.mark.parametrize("name", sorted(LOGICS))
 def test_backward_instances_pass_check_step(name):
     logic = LOGICS[name]
-    rng = random.Random(hash(name) & 0xFFFF)
+    rng = random.Random(zlib.crc32(name.encode()))
     for _ in range(40):
         seq = _random_sequent(rng, logic.mode)
         for inst in backward_applications(logic, seq):
             assert check_step(logic, inst), \
                 "emitted %s instance fails check_step at %s" % (inst.rule, seq)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in LOGICS
+                                        if LOGICS[n].mode == CONSTRUCTIVE))
+def test_context_free_principals_list_succedent_first(name):
+    # The modal case of interpolation reads the principals of a rule
+    # without context so.
+    logic = LOGICS[name]
+    rng = random.Random(zlib.crc32(name.encode()))
+    seen = set()
+    for _ in range(300):
+        seq = _random_sequent(rng, logic.mode)
+        for inst in backward_applications(logic, seq):
+            if calculus.RULES[inst.rule].contextual:
+                continue
+            seen.add(inst.rule)
+            pr = inst.principal
+            if inst.premises[0].suc:
+                assert pr[0] in seq.suc, inst
+                pr = pr[1:]
+            assert all(f in seq.ant for f in pr), inst
+    assert seen == {n for n in logic.rules
+                    if not calculus.RULES[n].contextual}

@@ -144,7 +144,7 @@ def test_countermodel_none_for_theorem(capsys):
 
 def cli_limited(*argv):
     """Run the CLI in a subprocess under a 1 GB address-space limit;
-    returns (exit code, seconds)."""
+    returns (exit code, seconds, stderr text)."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -154,20 +154,35 @@ def cli_limited(*argv):
     proc = subprocess.run([sys.executable, "-m", "wmodal.cli", *argv],
                           preexec_fn=limit, env=env, capture_output=True,
                           timeout=60)
-    return proc.returncode, time.monotonic() - t0
+    return proc.returncode, time.monotonic() - t0, proc.stderr.decode()
 
 
 def test_countermodel_timeout_exit_two():
     # 4 worlds: 168 families per world, 8e8 neighbourhood choices.
-    code, secs = cli_limited("countermodel", "--logic", "M", "[]p1 -> []p1",
-                             "--max-worlds", "4", "--timeout-secs", "1")
+    code, secs, _ = cli_limited("countermodel", "--logic", "M", "[]p1 -> []p1",
+                                "--max-worlds", "4", "--timeout-secs", "1")
     assert code == 2 and secs < 5
 
 
 def test_countermodel_without_modal_part_skips_neighbourhoods():
-    code, secs = cli_limited("countermodel", "--logic", "M", "p1 -> p1",
-                             "--max-worlds", "4", "--timeout-secs", "1")
+    code, secs, _ = cli_limited("countermodel", "--logic", "M", "p1 -> p1",
+                                "--max-worlds", "4", "--timeout-secs", "1")
     assert code == 1 and secs < 5
+
+
+def test_deep_input_exit_70_without_traceback():
+    code, _, err = cli_limited("decide", "--logic", "K", "[]" * 60000 + "p1")
+    assert code == 70
+    assert "Traceback" not in err and err.startswith("internal error: ")
+
+
+def test_unexpected_error_exit_70(capsys, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(prover, "decide", boom)
+    assert cli.main(["decide", "--logic", "WM", "p1"]) == 70
+    assert capsys.readouterr().err == "internal error: RuntimeError('boom')\n"
 
 
 def test_countermodel_bad_max_worlds_exit_64(capsys):
