@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 negative answer (not derivable / no
 countermodel / violations found), 2 budget exhausted, 64 usage or parse
 errors, 70 internal error (any other exception: one line on stderr, no
-traceback, never read as a negative answer).  `--format structured`
+traceback, never read as a negative answer), 74 standard output closed
+by its reader (nothing printed).  `--format structured`
 emits line-delimited JSON with a version field.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -25,6 +27,7 @@ EX_NEGATIVE = 1
 EX_BUDGET = 2
 EX_USAGE = 64
 EX_SOFTWARE = 70
+EX_IOERR = 74
 
 FORMAT_VERSION = 2
 
@@ -267,7 +270,14 @@ def main(argv=None) -> int:
         return EX_USAGE if e.code not in (0, None) else 0
     out = _Out(args.format == "structured")
     try:
-        return args.fn(args, out)
+        code = args.fn(args, out)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone: point stdout at /dev/null so that the
+        # interpreter's last flush of what is still buffered says nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_IOERR
     except (ParseError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EX_USAGE

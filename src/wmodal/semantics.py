@@ -15,6 +15,16 @@ antichains under inclusion (closed under intersection when the logic
 requires (C)).  Forcing only depends on the inclusion-minimal
 neighbourhoods, so this is exhaustive up to forcing equivalence while
 keeping the n=3 search space tractable.
+
+The enumeration evaluates many neighbourhood choices at once.  Under a
+fixed preorder and valuation, one int holds a set of worlds for every
+choice, choice c's (its lane) at bits c*n ... c*n+n-1.  Conjunction,
+disjunction and bot are then plain bit operations, `_lane_up` is up in
+every lane by shifts and masks, and `_lane_local` reads box and diamond
+locally in every lane from, for each neighbourhood a, the lane mask of
+the worlds whose family holds a.  `_run` is still the only place with
+forcing clauses: it runs over one lane for `extension` and over many for
+the enumeration.
 """
 
 from __future__ import annotations
@@ -23,8 +33,9 @@ import itertools
 import json
 import random
 import time
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .logics import Logic
@@ -38,11 +49,6 @@ CONDITION_NAMES = ("C", "N", "D", "T", "P")
 # families per world and 2^20 candidate orders, at six 7.8 million
 # families.
 MAX_WORLDS = 4
-
-# Enumeration keeps the local tables of this many neighbourhood choices
-# for the next valuation: every 3-world product (at most 20^3 choices),
-# and a bounded part of the 4-world ones.
-_KEPT_CHOICES = 1 << 14
 
 
 def _bits(mask: int) -> List[int]:
@@ -124,56 +130,93 @@ def _up(succ, m: int) -> int:
     return _mask(w for w, s in enumerate(succ) if not s & ~m)
 
 
-def _locally(kind: str, neigh, b: int) -> int:
-    """Worlds where a box (some neighbourhood lies inside b) or a
-    diamond (every neighbourhood meets b) over a formula of extension b
-    holds locally."""
-    if kind == BOX:
-        return _mask(w for w, fam in enumerate(neigh)
-                     if any(not a & ~b for a in fam))
-    return _mask(w for w, fam in enumerate(neigh) if all(a & b for a in fam))
+def _lane_up(succ, one: int):
+    """up for _run over lanes: the worlds of each lane all of whose
+    successors lie in the argument's lane.  Each shift d moves the bit
+    of world w + d onto world w in every lane at once; only the worlds
+    that have w + d as a successor are kept from it."""
+    full = (1 << len(succ)) - 1
+    kept: Dict[int, int] = {}       # shift -> the worlds it serves
+    for w, s in enumerate(succ):
+        for v in _bits(s & ~(1 << w)):
+            kept[v - w] = kept.get(v - w, 0) | 1 << w
+    steps = [(d, (full ^ ws) * one) for d, ws in kept.items()]
+
+    def up(m):
+        out = m
+        for d, rest in steps:
+            out &= (m >> d if d > 0 else m << -d) | rest
+        return out
+    return up
 
 
-class _Lazy(dict):
-    """The table m -> fn(m), each entry computed on first use, so that a
-    model with many worlds pays only for the masks a formula reaches."""
+def _lane_local(full: int, one: int, tests) -> dict:
+    """local for _run over lanes: the worlds of each lane where a box (some
+    neighbourhood of the world's family lies inside b) or a diamond (every
+    one meets b) over a formula of extension b holds locally.  tests has,
+    for each neighbourhood a that some family holds, a, a in every lane
+    (a * one), a's worlds and the lane mask of the worlds whose family
+    holds a; full is the set of all worlds of one lane."""
+    every = full * one
 
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
+    def box(b):
+        out = 0
+        b0 = b & full
+        if b == b0 * one:           # the same set in every lane
+            for a, _, _, m in tests:
+                if not a & ~b0:
+                    out |= m
+            return out
+        outside = ~b
+        for _, a, bits, m in tests:
+            miss = a & outside      # a's worlds that b lacks, in each lane
+            fold = 0
+            for j in bits:
+                fold |= miss >> j   # lane c's bit j onto its bit 0
+            out |= m & ~((fold & one) * full)
+        return out
 
-    def __missing__(self, m):
-        v = self[m] = self.fn(m)
-        return v
+    def dia(b):
+        # every neighbourhood meets b: none lies inside b's complement
+        return every ^ box(every ^ b)
+    return {BOX: box, DIA: dia}
 
 
+# Holds, for instance, all 1,416 formulas of size <= 5 over two atoms; a
+# thousand programs of that size take about 0.5 MB.
+@lru_cache(maxsize=4096)
 def _program(f: Formula):
     """Compile f into instructions over a list of extensions, one slot
     per subformula: the atoms first, by index, then the other subformulas
     in complexity order, so that children come before parents and f comes
-    last.  Returns the atoms' indices, the instructions (slot, kind, left
-    slot, right slot) and the set of slots whose extension depends on the
-    neighbourhoods."""
+    last.  Returns the atoms' indices and the instructions (slot, kind,
+    left slot, right slot), split into those whose extension does not
+    depend on the neighbourhoods and those whose extension does; each
+    part is in slot order, and the first never reads the second."""
     order = sorted(subformulas(f),
                    key=lambda g: (g.kind != ATOM, g.complexity, g.index))
     slot = {g: i for i, g in enumerate(order)}
-    atoms = [g.index for g in order if g.kind == ATOM]
-    program, modal = [], set()
+    atoms = tuple(g.index for g in order if g.kind == ATOM)
+    static, dynamic, modal = [], [], set()
     for g in order[len(atoms):]:
         i, l, r = slot[g], slot.get(g.left), slot.get(g.right)
         if g.kind in (BOX, DIA) or l in modal or r in modal:
             modal.add(i)
-        program.append((i, g.kind, l, r))
-    return atoms, program, modal
+            dynamic.append((i, g.kind, l, r))
+        else:
+            static.append((i, g.kind, l, r))
+    return atoms, tuple(static), tuple(dynamic)
 
 
 def _run(program, ext: list, full: int, up, local) -> list:
     """Fill in ext, whose first slots hold the atoms' extensions, along
     program.
 
-    These are the only forcing clauses.  up[m] is the set of worlds all
-    of whose successors lie in m, and local[kind][b] the set of worlds
-    where a box or diamond over a formula of extension b holds locally.
+    These are the only forcing clauses.  up(m) is the set of worlds all
+    of whose successors lie in m, and local[kind](b) the set of worlds
+    where a box or diamond over a formula of extension b holds locally;
+    full is the set of all worlds.  Over lanes, each set holds one set of
+    worlds per lane and the clauses apply to every lane at once.
     """
     for i, k, l, r in program:
         if k == AND:
@@ -181,22 +224,26 @@ def _run(program, ext: list, full: int, up, local) -> list:
         elif k == OR:
             ext[i] = ext[l] | ext[r]
         elif k == IMP:
-            ext[i] = up[full & ~(ext[l] & ~ext[r])]
+            ext[i] = up(full & ~(ext[l] & ~ext[r]))
         elif k == BOT:
             ext[i] = 0
         else:
-            ext[i] = up[local[k][ext[l]]]
+            ext[i] = up(local[k](ext[l]))
     return ext
 
 
 def extension(model, f: Formula) -> int:
-    """Mask of worlds forcing f."""
-    atoms, program, _ = _program(f)
+    """Mask of worlds forcing f: _run over a single lane."""
+    atoms, static, dynamic = _program(f)
     val = dict(model.val)
-    ext = [val.get(a, 0) for a in atoms] + [0] * len(program)
-    up = _Lazy(partial(_up, model.succ))
-    local = {k: _Lazy(partial(_locally, k, model.neigh)) for k in (BOX, DIA)}
-    return _run(program, ext, model.full, up, local)[-1]
+    ext = [val.get(a, 0) for a in atoms] + [0] * (len(static) + len(dynamic))
+    mem: Dict[int, int] = {}
+    for w, fam in enumerate(model.neigh):
+        for a in fam:
+            mem[a] = mem.get(a, 0) | 1 << w
+    tests = [(a, a, _bits(a), m) for a, m in mem.items()]
+    return _run(static + dynamic, ext, model.full, _lane_up(model.succ, 1),
+                _lane_local(model.full, 1, tests))[-1]
 
 
 def forces(model, world: int, f: Formula) -> bool:
@@ -361,26 +408,82 @@ def _preorders(n: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 @cache
-def _column(kind: str, fam, w: int, n: int) -> Tuple[int, ...]:
-    """For every extension b over n worlds, world w's bit of
-    local[kind][b] when w has the family fam."""
-    return tuple(_locally(kind, (fam,), b) << w for b in range(1 << n))
+def _up_table(succ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """up as a table over every set of worlds, and the up-sets: the sets
+    a hereditary valuation may give an atom."""
+    up = tuple(_up(succ, m) for m in range(1 << len(succ)))
+    return up, tuple(m for m, u in enumerate(up) if u == m)
 
 
-def _local_table(neigh, n: int) -> dict:
-    """local for _run, in full, for worlds 0..n-1 with the families
-    neigh.  The worlds' bits are disjoint, so their sum is their union."""
-    table = {}
-    for k in (BOX, DIA):
-        columns = [_column(k, fam, w, n) for w, fam in enumerate(neigh)]
-        table[k] = [sum(bits) for bits in zip(*columns)]
-    return table
+class _Slices:
+    """The neighbourhood choices over n worlds, cut into slices that one
+    run of _run covers, one choice per lane.  A slice is every choice for
+    the worlds from k on, in product order, under one choice for the
+    worlds before k (its prefix).  Without modal slots the neighbourhoods
+    do not matter, and the first choice stands for them all."""
+
+    def __init__(self, n: int, conds, modal: bool):
+        fams = [_families(n, conds, w) for w in range(n)]
+        if modal:
+            k = max(n - 2, 0)       # the last two worlds: 168^2 lanes at 4
+        else:
+            k, fams = 0, [fs[:1] for fs in fams]
+        self.full = (1 << n) - 1
+        self.prefixes = tuple(itertools.product(*fams[:k]))
+        self.choices = tuple(itertools.product(*fams[k:]))
+        self.one = ((1 << n * len(self.choices)) - 1) // self.full
+        # per neighbourhood a: a's worlds, a in every lane, a's members
+        self.spread = [(a, a * self.one, _bits(a))
+                       for a in range(self.full + 1)]
+        lanes: Dict[int, List[int]] = defaultdict(
+            lambda: [0] * len(self.choices))
+        for c, choice in enumerate(self.choices):
+            for w, fam in enumerate(choice, k):
+                for a in fam:
+                    lanes[a][c] |= 1 << w
+        # per neighbourhood a: the worlds from k on whose family holds a
+        self.sliced = {a: _pack(v, n) for a, v in lanes.items()}
+        self.fixed = None
+        if not k:                   # one slice: its local never changes
+            self.fixed = self.local(())
+
+    def local(self, prefix) -> dict:
+        """local for _run over the slice under prefix."""
+        if self.fixed is not None:
+            return self.fixed
+        mem = dict(self.sliced)
+        for w, fam in enumerate(prefix):
+            for a in fam:
+                mem[a] = mem.get(a, 0) | self.one << w
+        return _lane_local(self.full, self.one,
+                           [(*self.spread[a], m) for a, m in mem.items()])
+
+
+# Kept below MAX_WORLDS worlds only: at 4 worlds a slicing holds about
+# 4 MB and takes 0.1 s to build, little beside the 28,224 runs of _run
+# that each valuation takes there.
+_kept_slices = cache(_Slices)
+
+
+def _slices(n: int, conds, modal: bool) -> _Slices:
+    return (_kept_slices if n < MAX_WORLDS else _Slices)(n, conds, modal)
+
+
+def _pack(values: List[int], n: int) -> int:
+    """The int whose lane c (bits c*n ... c*n+n-1) holds values[c]."""
+    digits = [format(v, "0%db" % n) for v in range(1 << n)]
+    return int("".join(map(digits.__getitem__, reversed(values))), 2)
 
 
 def enumerate_countermodel(logic: Logic, f: Formula, max_worlds: int = 3,
                            budget: Budget = Budget()):
     """First (model, world) refuting f among all models of logic's class
     with at most max_worlds worlds, up to forcing equivalence; else None.
+
+    Models are tried by size, preorder, valuation and then neighbourhood
+    choice in product order.  One run of _run covers a slice of the
+    choices (see _Slices); the lowest bit of the worlds it refutes is the
+    first refuting choice of the slice and its least world.
 
     Raises BudgetExceeded, counting each model tried as a node, when
     budget's time runs out or when the search would have to go past
@@ -395,43 +498,34 @@ def enumerate_countermodel(logic: Logic, f: Formula, max_worlds: int = 3,
     def exceeded(reason):
         return BudgetExceeded(reason, tried, time.monotonic() - start)
 
-    atoms, program, modal = _program(f)
-    static = [ins for ins in program if ins[0] not in modal]
-    dynamic = [ins for ins in program if ins[0] in modal]
-    rest = [0] * len(program)       # the slots after the atoms
+    atoms, static, dynamic = _program(f)
+    rest = [0] * (len(static) + len(dynamic))   # the slots after the atoms
     for n in range(1, max_worlds + 1):
         if n > MAX_WORLDS:
             raise exceeded("more than %d worlds" % MAX_WORLDS)
         full = (1 << n) - 1
-        fams = [_families(n, logic.conditions, w) for w in range(n)]
-        first = tuple(fs[0] for fs in fams)
-        tables = []     # local of each neighbourhood choice, by position
+        sl = _slices(n, logic.conditions, bool(dynamic))
+        one, every, lanes = sl.one, full * sl.one, len(sl.choices)
         orders = (_preorders(n) if logic.mode == CONSTRUCTIVE
                   else (_discrete(n),))
         for succ in orders:
-            up = [_up(succ, m) for m in range(full + 1)]
-            upsets = [m for m in range(full + 1) if up[m] == m]
+            up, upsets = _up_table(succ)
+            lane_up = _lane_up(succ, one)
             for vals in itertools.product(upsets, repeat=len(atoms)):
-                if time.monotonic() > deadline:
-                    raise exceeded("timeout")
-                ext = _run(static, [*vals, *rest], full, up, None)
-                choices = itertools.product(*fams) if dynamic else [first]
-                for i, neigh in enumerate(choices):
-                    if i < len(tables):
-                        local = tables[i]
-                    else:
-                        local = _local_table(neigh, n)
-                        if i < _KEPT_CHOICES:
-                            tables.append(local)
-                    m = _run(dynamic, ext, full, up, local)[-1]
-                    if m != full:
-                        model = _assemble(logic, n, succ, neigh,
-                                          tuple(zip(atoms, vals)))
-                        return model, _bits(full & ~m)[0]
-                    if i & 0xFFF == 0xFFF and time.monotonic() > deadline:
-                        tried += i
+                ext = _run(static, [*vals, *rest], full, up.__getitem__, None)
+                ext = [m * one for m in ext]
+                for prefix in sl.prefixes:
+                    if time.monotonic() > deadline:
                         raise exceeded("timeout")
-                tried += i + 1
+                    m = _run(dynamic, ext, every, lane_up, sl.local(prefix))[-1]
+                    if m != every:
+                        bad = every & ~m
+                        c, world = divmod((bad & -bad).bit_length() - 1, n)
+                        model = _assemble(logic, n, succ,
+                                          prefix + sl.choices[c],
+                                          tuple(zip(atoms, vals)))
+                        return model, world
+                    tried += lanes
     return None
 
 

@@ -63,6 +63,21 @@ MCT_SHARED = ("[]<>bot, []p1, []<>p2, [](bot -> p2), [](p1 | p1), "
               "[](p1 | p2), [](p3 | p1), <><>p1 |- <>[]<>p1")
 
 
+def test_closed_stdout_exit_74_without_message():
+    # The proof text is about 138 KB, more than a pipe holds, so the
+    # writer meets the closed pipe.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wmodal.cli", "prove", "--logic", "MCT",
+         MCT_SHARED], env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == cli.EX_IOERR == 74
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 def test_prove_renders_shared_proof_once(capsys):
     t0 = time.monotonic()
     code, text = run(capsys, "prove", "--logic", "MCT", MCT_SHARED)
@@ -216,6 +231,13 @@ def test_check_model_wrong_kind(tmp_path, capsys):
     path.write_text(semantics.model_to_json(m))
     code, _ = run(capsys, "check-model", "--logic", "WM", str(path))
     assert code == 1
+
+
+def test_check_model_missing_file_exit_64(tmp_path, capsys):
+    code = cli.main(["check-model", "--logic", "WM",
+                     str(tmp_path / "absent.json")])
+    assert code == 64
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Neighbourhood models: forcing, conditions, generation, countermodels."""
 
+import functools
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -13,9 +15,9 @@ from wmodal.semantics import (ConstructiveNeighModel, NeighModel,
                               enumerate_countermodel, extension, forces,
                               model_from_json, model_to_json, random_model,
                               valid_in_model)
-from wmodal.sequents import CLASSICAL
-from wmodal.syntax import AND, ATOM, BOT, BOX, IMP, OR, atom, bot, box, dia, \
-    neg, parse, top
+from wmodal.sequents import CLASSICAL, CONSTRUCTIVE
+from wmodal.syntax import AND, ATOM, BOT, BOX, DIA, IMP, OR, atom, bot, box, \
+    dia, neg, parse, top
 
 p = atom(1)
 
@@ -252,6 +254,129 @@ def test_countermodel_witnesses_unchanged():
             h.update(("%s\t%s\t%s\n" % (name, syntax.render(f), doc)).encode())
     assert h.hexdigest() == \
         "93dee183899d0a32f1ed8768d002d03ae15935240d1bf17eb1643d6fc01399e7"
+
+
+@functools.cache
+def local_column(kind, fam, w, n):
+    """World w's bit of the local box or diamond table, for every
+    extension over n worlds, when w has the family fam."""
+    if kind == BOX:
+        return tuple(any(not a & ~b for a in fam) << w for b in range(1 << n))
+    return tuple(all(a & b for a in fam) << w for b in range(1 << n))
+
+
+class TooLong(Exception):
+    pass
+
+
+def reference_countermodel(logic, f, max_worlds, limit):
+    """The first (model, world) refuting f, trying one neighbourhood
+    choice at a time, with a table of local forcing per choice: the loop
+    that the lane-sliced search replaced.  Raises TooLong once it would
+    try more than limit models."""
+    atoms, static, dynamic = semantics._program(f)
+    rest = [0] * (len(static) + len(dynamic))
+    tried = 0
+    for n in range(1, max_worlds + 1):
+        full = (1 << n) - 1
+        choices = list(itertools.product(
+            *(semantics._families(n, logic.conditions, w) for w in range(n))))
+        if not dynamic:
+            choices = choices[:1]
+        tables = []
+        orders = (semantics._preorders(n) if logic.mode == CONSTRUCTIVE
+                  else (semantics._discrete(n),))
+        for succ in orders:
+            up = [semantics._up(succ, m) for m in range(full + 1)]
+            upsets = [m for m in range(full + 1) if up[m] == m]
+            for vals in itertools.product(upsets, repeat=len(atoms)):
+                tried += len(choices)
+                if tried > limit:
+                    raise TooLong
+                ext = semantics._run(static, [*vals, *rest], full,
+                                     up.__getitem__, None)
+                for i, neigh in enumerate(choices):
+                    if i == len(tables):
+                        tables.append({k: tuple(map(sum, zip(*(
+                            local_column(k, fam, w, n)
+                            for w, fam in enumerate(neigh))))).__getitem__
+                            for k in (BOX, DIA)})
+                    m = semantics._run(dynamic, ext, full, up.__getitem__,
+                                       tables[i])[-1]
+                    if m != full:
+                        model = semantics._assemble(logic, n, succ, neigh,
+                                                    tuple(zip(atoms, vals)))
+                        return model, semantics._bits(full & ~m)[0]
+    return None
+
+
+# Forced at every world of a model with fewer than 3 worlds: refuting it
+# at w takes a neighbourhood of w inside |~p8 | ~p9| that holds a world
+# not forcing ~p8 (so forcing ~p9) and one not forcing ~p9; the two
+# differ, and neither is w, which forces both.
+NEEDS_3_WORLDS = parse("~(~p8 & ~p9 & [](~p8 | ~p9) & ~[]~p8 & ~[]~p9)")
+
+
+def witness_doc(hit):
+    return "none" if hit is None else "%s@%d" % (model_to_json(hit[0]), hit[1])
+
+
+def test_countermodel_matches_per_choice_reference():
+    # Seeded 3-world searches in every logic, each of which gets to 3
+    # worlds, where the lanes are cut into slices under a choice for the
+    # first world.  The reference needs a full neighbourhood product per
+    # valuation, so searches it cannot end within 100,000 models (those
+    # that try many valuations) are left out of the comparison.
+    rng = random.Random(61)
+    compared = []
+    for name in sorted(LOGICS):
+        f = syntax.disj(NEEDS_3_WORLDS, sampling.random_formula(
+            rng, rng.randint(1, 5), 2))
+        try:
+            want = reference_countermodel(LOGICS[name], f, 3, 100_000)
+        except TooLong:
+            continue
+        got = enumerate_countermodel(LOGICS[name], f, 3)
+        assert witness_doc(got) == witness_doc(want), (name, syntax.render(f))
+        compared.append(want)
+    assert len(compared) >= 20
+    assert all(hit is None or hit[0].n == 3 for hit in compared)
+
+
+def test_lanes_agree_with_recursive_forcing():
+    # Each lane of one run over a slice of neighbourhood choices holds
+    # the extension of f in that lane's model.
+    rng = random.Random(67)
+    names = sorted(LOGICS)
+    for _ in range(80):
+        logic = LOGICS[rng.choice(names)]
+        f = sampling.random_formula(rng, rng.randint(2, 9), 2)
+        atoms, static, dynamic = semantics._program(f)
+        n = rng.randint(1, 3)
+        full = (1 << n) - 1
+        sl = semantics._slices(n, logic.conditions, bool(dynamic))
+        succ = rng.choice(semantics._preorders(n)
+                          if logic.mode == CONSTRUCTIVE
+                          else [semantics._discrete(n)])
+        vals = [rng.choice(semantics._up_table(succ)[1]) for _ in atoms]
+        prefix = rng.choice(sl.prefixes)
+        ext = [v * sl.one for v in vals] + [0] * (len(static) + len(dynamic))
+        m = semantics._run(static + dynamic, ext, full * sl.one,
+                           semantics._lane_up(succ, sl.one),
+                           sl.local(prefix))[-1]
+        for c, choice in enumerate(sl.choices):
+            model = semantics._assemble(logic, n, succ, prefix + choice,
+                                        tuple(zip(atoms, vals)))
+            assert m >> c * n & full == reference_extension(model, f), \
+                (model_to_json(model), syntax.render(f))
+
+
+@pytest.mark.parametrize("name", ["WK", "WMC"])
+def test_countermodel_k_axiom_exhaustive_at_3_worlds(name):
+    # Every 3-world model of the class is tried within 3 s.
+    f = parse("[](p1 -> p2) -> ([]p1 -> []p2)")
+    assert enumerate_countermodel(get_logic(name), f, 3,
+                                  Budget(timeout_secs=3)) is None
 
 
 def test_countermodel_search_honours_timeout():
