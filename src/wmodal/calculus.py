@@ -6,15 +6,9 @@ sequent classified once (`Shape`) and yields every instance of the
 rule's schema with that conclusion: premises and principal formulas.
 
 The constructive calculi WM ... WKT are the single-succedent restriction
-of the classical calculi M ... KT.  On a conclusion with at most one
-succedent formula a classical modal rule yields premises with at most
-one, and each constructive modal rule is the classical rule of the same
-name without the leading "i", except that
-- iKdia and iCD keep the instances of Kdia and CD whose premise has a
-  succedent formula;
-- idualandK and iCDbox are Kdia and CD at the conclusion with its
-  succedent weakened away, and iCDbox needs a box;
-- iTdia replaces its principal by the subformula, where Tdia adds it.
+of the classical calculi M ... KT, and their modal rules are derived
+from the classical ones by `constructive`; the comment on its exception
+map says where a constructive rule is not the classical rule renamed.
 Of the propositional rules only Limp and Ror differ by mode.  A
 constructive modal rule without context lists its succedent principal
 first, and has one exactly when its premise has a succedent formula;
@@ -45,12 +39,14 @@ positions by contraction, as in Dbox from A |- to []A |-.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Iterator, List, Tuple
 
-from .logics import Logic
 from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent, norm_side
 from .syntax import AND, ATOM, BOX, DIA, IMP, OR, Formula, bot
+
+if TYPE_CHECKING:
+    from .logics import Logic
 
 
 @dataclass(frozen=True)
@@ -303,7 +299,48 @@ def _antecedent_only(build: Builder) -> Builder:
 
 _ALL = (CLASSICAL, CONSTRUCTIVE)
 
-# Search tries the invertible rules in table order, closure first.
+# The constructive rules of each classical modal rule, where they are not
+# the classical rule renamed with a leading "i".  On a conclusion with at
+# most one succedent formula a classical modal rule yields premises with
+# at most one, so renaming suffices except that
+# - iTdia replaces its principal by the subformula, where Tdia adds it;
+# - Kdia and CD split in two: iKdia and iCD keep the instances whose
+#   premise has a succedent formula, and idualandK and iCDbox apply them
+#   at the conclusion with its succedent weakened away, iCDbox needing a
+#   box;
+# - dualorM, dualorC and Ddia need two succedent formulas.
+_CONSTRUCTIVE = {
+    "Tdia": (Rule("iTdia", _itdia, contextual=True),),
+    "Kdia": (Rule("iKdia", _with_succedent(_kdia)),
+             Rule("idualandK", _antecedent_only(_kdia))),
+    "CD": (Rule("iCD", _with_succedent(_cd)),
+           Rule("iCDbox", _antecedent_only(_cd))),
+    "dualorM": (), "dualorC": (), "Ddia": (),
+}
+
+
+def constructive(rule: Rule) -> Tuple[Rule, ...]:
+    """The constructive rules derived from the classical modal rule."""
+    return _CONSTRUCTIVE.get(rule.name,
+                             (replace(rule, name="i" + rule.name),))
+
+
+_MODAL = (
+    Rule("Tbox", _tbox, _ALL, contextual=True),
+    Rule("Tdia", _tdia, _ALL, contextual=True),
+    Rule("Mbox", _mbox), Rule("Mdia", _mdia), Rule("D", _d),
+    Rule("dualandM", _dualand_m), Rule("dualorM", _dualor_m),
+    Rule("Dbox", _dbox), Rule("Ddia", _ddia),
+    Rule("Nbox", _nbox), Rule("Ndia", _ndia),
+    Rule("Pbox", _pbox), Rule("Pdia", _pdia),
+    Rule("Kbox", _kbox), Rule("Cbox", _cbox),
+    Rule("Kdia", _kdia), Rule("Cdia", _cdia),
+    Rule("dualandC", _dualand_c), Rule("dualorC", _dualor_c),
+    Rule("CD", _cd),
+)
+
+# Search tries the invertible rules in table order, closure first.  Each
+# classical modal rule is followed by its constructive rules.
 _TABLE = (
     Rule("Lbot", _lbot, _ALL, contextual=True),
     Rule("init", _init, _ALL, contextual=True),
@@ -313,31 +350,7 @@ _TABLE = (
     Rule("Rand", _rand, _ALL, contextual=True),
     Rule("Ror", _ror, (CLASSICAL,), contextual=True),
     Rule("Rimp", _rimp, _ALL, contextual=True),
-    Rule("Tbox", _tbox, _ALL, contextual=True),
-    Rule("iTbox", _tbox, _ALL, contextual=True),
-    Rule("Tdia", _tdia, _ALL, contextual=True),
-    Rule("iTdia", _itdia, contextual=True),
-    Rule("Mbox", _mbox), Rule("iMbox", _mbox),
-    Rule("Mdia", _mdia), Rule("iMdia", _mdia),
-    Rule("D", _d), Rule("iD", _d),
-    Rule("dualandM", _dualand_m), Rule("idualandM", _dualand_m),
-    Rule("dualorM", _dualor_m),
-    Rule("Dbox", _dbox), Rule("iDbox", _dbox),
-    Rule("Ddia", _ddia),
-    Rule("Nbox", _nbox), Rule("iNbox", _nbox),
-    Rule("Ndia", _ndia), Rule("iNdia", _ndia),
-    Rule("Pbox", _pbox), Rule("iPbox", _pbox),
-    Rule("Pdia", _pdia), Rule("iPdia", _pdia),
-    Rule("Kbox", _kbox), Rule("iKbox", _kbox),
-    Rule("Cbox", _cbox), Rule("iCbox", _cbox),
-    Rule("Kdia", _kdia), Rule("iKdia", _with_succedent(_kdia)),
-    Rule("idualandK", _antecedent_only(_kdia)),
-    Rule("Cdia", _cdia), Rule("iCdia", _cdia),
-    Rule("dualandC", _dualand_c), Rule("idualandC", _dualand_c),
-    Rule("dualorC", _dualor_c),
-    Rule("CD", _cd), Rule("iCD", _with_succedent(_cd)),
-    Rule("iCDbox", _antecedent_only(_cd)),
-)
+) + tuple(r for rule in _MODAL for r in (rule,) + constructive(rule))
 RULES = {r.name: r for r in _TABLE}
 
 

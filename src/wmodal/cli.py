@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from . import interpolation, prover, semantics, suites, syntax
@@ -106,11 +105,7 @@ def cmd_decide(args, out):
 
 def cmd_interpolate(args, out):
     logic = get_logic(args.logic)
-    names: dict = {}
-    reserved = {int(m[1:]) for m in
-                re.findall(r"\bp[0-9]+\b", args.a + " " + args.b)}
-    a = syntax.parse(args.a, names, reserved)
-    b = syntax.parse(args.b, names, reserved)
+    a, b = syntax.parse_all(args.a, args.b)
     try:
         res = interpolation.craig(logic, a, b, _budget(args))
     except interpolation.NotATheoremError as e:
@@ -131,8 +126,8 @@ def cmd_interpolate(args, out):
 def cmd_countermodel(args, out):
     logic = get_logic(args.logic)
     f = syntax.parse(args.input)
-    found = semantics.enumerate_countermodel(logic, f, args.max_worlds,
-                                           _budget(args))
+    found = semantics.enumerate_countermodel(
+        logic, f, args.max_worlds, Budget(timeout_secs=args.timeout_secs))
     if found is None:
         out.emit({"command": "countermodel", "logic": logic.name,
                   "status": "none", "max_worlds": args.max_worlds},
@@ -208,57 +203,56 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wmodal",
         description="Decision procedures, interpolation and countermodels "
                     "for 28 constructive/classical non-normal modal logics.")
-    ap.add_argument("--format", choices=("text", "structured"), default="text")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, logic_required=True):
-        p.add_argument("--logic", required=logic_required,
-                       choices=sorted(LOGICS), metavar="LOGIC")
+    def command(name, fn, summary, logic=True,
+                budget=("max_nodes", "timeout_secs")):
+        """A subcommand with --format, --logic unless logic is None
+        (required when logic is True), and the named budget options."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
         p.add_argument("--format", choices=("text", "structured"),
                        default="text")
-        p.add_argument("--max-nodes", type=int, default=prover.DEFAULT_MAX_NODES)
-        p.add_argument("--timeout-secs", type=float,
-                       default=prover.DEFAULT_TIMEOUT_SECS)
+        if logic is not None:
+            p.add_argument("--logic", required=logic,
+                           choices=sorted(LOGICS), metavar="LOGIC")
+        if "max_nodes" in budget:
+            p.add_argument("--max-nodes", type=int,
+                           default=prover.DEFAULT_MAX_NODES)
+        if "timeout_secs" in budget:
+            p.add_argument("--timeout-secs", type=float,
+                           default=prover.DEFAULT_TIMEOUT_SECS)
+        return p
 
-    p = sub.add_parser("prove", help="decide a sequent or formula, print proof")
-    common(p)
+    p = command("prove", cmd_prove, "decide a sequent or formula, print proof")
     p.add_argument("input")
-    p.set_defaults(fn=cmd_prove)
 
-    p = sub.add_parser("decide", help="theorem / non-theorem")
-    common(p)
+    p = command("decide", cmd_decide, "theorem / non-theorem")
     p.add_argument("input")
-    p.set_defaults(fn=cmd_decide)
 
-    p = sub.add_parser("interpolate", help="Craig interpolant for A -> B")
-    common(p)
+    p = command("interpolate", cmd_interpolate, "Craig interpolant for A -> B")
     p.add_argument("a")
     p.add_argument("b")
-    p.set_defaults(fn=cmd_interpolate)
 
-    p = sub.add_parser("countermodel", help="exhaustive countermodel search")
-    common(p)
+    p = command("countermodel", cmd_countermodel,
+                "exhaustive countermodel search", budget=("timeout_secs",))
     p.add_argument("input")
     p.add_argument("--max-worlds", type=int, default=3)
-    p.set_defaults(fn=cmd_countermodel)
 
-    p = sub.add_parser("check-model", help="check a serialized model")
-    common(p)
+    p = command("check-model", cmd_check_model, "check a serialized model",
+                budget=())
     p.add_argument("model_file")
     p.add_argument("input", nargs="?", default=None,
                    help="optional formula to evaluate")
-    p.set_defaults(fn=cmd_check_model)
 
-    p = sub.add_parser("selftest", help="axiom and negative matrices")
-    common(p, logic_required=False)
-    p.set_defaults(fn=cmd_selftest)
+    command("selftest", cmd_selftest, "axiom and negative matrices",
+            logic=None)
 
-    p = sub.add_parser("fuzz", help="randomized property suites")
-    common(p, logic_required=False)
+    p = command("fuzz", cmd_fuzz, "randomized property suites", logic=False,
+                budget=())
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=None,
                    help="per-suite iteration count")
-    p.set_defaults(fn=cmd_fuzz)
     return ap
 
 

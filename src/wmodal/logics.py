@@ -1,9 +1,11 @@
-"""The 28-logic catalogue: axiom schemata, Hilbert bases, rule sets.
+"""The 28-logic catalogue: axiom schemata, Hilbert axioms, rule sets.
 
 Fourteen classical non-normal modal logics (M through KT) and their
 fourteen constructive counterparts (WM through WKT).  Each logic carries
 its Hilbert-style axiom catalogue, the rule set of its cut-free sequent
 calculus, and the frame-condition set used by the semantics module.
+The constructive rule sets are the classical ones under
+`calculus.constructive`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
-from . import syntax
+from . import calculus, syntax
 from .syntax import Formula, box, bot, conj, dia, disj, imp, neg, top
 from .sequents import CLASSICAL, CONSTRUCTIVE
 
@@ -97,10 +99,6 @@ _CONSTRUCTIVE_AXIOMS = {
     "KT": ["dual_and", "C_box", "K_dia", "N_box", "T_box", "T_dia"],
 }
 
-# Hilbert rules on top of intuitionistic/classical propositional logic.
-_CLASSICAL_HILBERT_RULES = ["mp", "mon_box"]
-_CONSTRUCTIVE_HILBERT_RULES = ["mp", "mon_box", "mon_dia"]
-
 # Frame conditions are read off the axiom catalogue.
 _AXIOM_CONDITION = {
     "C_box": "C", "N_box": "N", "T_box": "T",
@@ -117,7 +115,10 @@ _FEATURES = {
 }
 
 # ---------------------------------------------------------------------------
-# Sequent-calculus rule sets.
+# Sequent-calculus rule sets.  Their order is the order in which
+# `calculus.backward_applications` lists instances and search tries the
+# rules that are not invertible; search tries the invertible ones in
+# `calculus` table order.
 
 _PROPOSITIONAL = ["init", "Lbot", "Land", "Lor", "Limp", "Rand", "Ror", "Rimp"]
 
@@ -139,24 +140,6 @@ _CLASSICAL_MODAL = {
     "KT": ["Kbox", "Kdia", "Tbox", "Tdia"],
 }
 
-_CONSTRUCTIVE_MODAL = {
-    "M": ["iMbox", "iMdia", "idualandM"],
-    "MN": ["iMbox", "iMdia", "idualandM", "iNbox", "iNdia"],
-    "MC": ["iCbox", "iCdia", "idualandC"],
-    "K": ["iKbox", "iKdia", "idualandK"],
-    "MP": ["iMbox", "iMdia", "idualandM", "iPbox", "iPdia"],
-    "MNP": ["iMbox", "iMdia", "idualandM", "iNbox", "iNdia", "iPbox", "iPdia"],
-    "MD": ["iMbox", "iMdia", "idualandM", "iD", "iDbox", "iPbox", "iPdia"],
-    "MND": ["iMbox", "iMdia", "idualandM", "iNbox", "iNdia",
-            "iD", "iDbox", "iPbox", "iPdia"],
-    "MCD": ["iCbox", "iCdia", "idualandC", "iCD", "iCDbox"],
-    "KD": ["iKbox", "iKdia", "idualandK", "iCD", "iCDbox"],
-    "MT": ["iMbox", "iMdia", "idualandM", "iTbox", "iTdia"],
-    "MNT": ["iMbox", "iMdia", "idualandM", "iNbox", "iNdia", "iTbox", "iTdia"],
-    "MCT": ["iCbox", "iCdia", "idualandC", "iTbox", "iTdia"],
-    "KT": ["iKbox", "iKdia", "idualandK", "iTbox", "iTdia"],
-}
-
 
 @dataclass(frozen=True)
 class Logic:
@@ -164,7 +147,6 @@ class Logic:
     base: str              # point in the 14-element lattice
     mode: str              # classical | constructive
     axioms: Tuple[str, ...]
-    hilbert_rules: Tuple[str, ...]
     rules: Tuple[str, ...]
     conditions: FrozenSet[str]
     features: str
@@ -176,29 +158,24 @@ class Logic:
 def _build() -> Dict[str, Logic]:
     out = {}
     for base in BASE_NAMES:
-        axs = tuple(_CLASSICAL_AXIOMS[base])
-        out[base] = Logic(
-            name=base, base=base, mode=CLASSICAL,
-            axioms=axs, hilbert_rules=tuple(_CLASSICAL_HILBERT_RULES),
-            rules=tuple(_PROPOSITIONAL + _CLASSICAL_MODAL[base]),
-            conditions=frozenset(
-                _AXIOM_CONDITION[a] for a in axs if a in _AXIOM_CONDITION),
-            features=_FEATURES[base],
-        )
-        axs = tuple(_CONSTRUCTIVE_AXIOMS[base])
-        out["W" + base] = Logic(
-            name="W" + base, base=base, mode=CONSTRUCTIVE,
-            axioms=axs, hilbert_rules=tuple(_CONSTRUCTIVE_HILBERT_RULES),
-            rules=tuple(_PROPOSITIONAL + _CONSTRUCTIVE_MODAL[base]),
-            conditions=frozenset(
-                _AXIOM_CONDITION[a] for a in axs if a in _AXIOM_CONDITION),
-            features=_FEATURES[base],
-        )
+        classical = _CLASSICAL_MODAL[base]
+        constructive = [r.name for name in classical
+                        for r in calculus.constructive(calculus.RULES[name])]
+        for name, mode, axs, modal in (
+                (base, CLASSICAL, _CLASSICAL_AXIOMS[base], classical),
+                ("W" + base, CONSTRUCTIVE, _CONSTRUCTIVE_AXIOMS[base],
+                 constructive)):
+            out[name] = Logic(
+                name=name, base=base, mode=mode, axioms=tuple(axs),
+                rules=tuple(_PROPOSITIONAL + modal),
+                conditions=frozenset(
+                    _AXIOM_CONDITION[a] for a in axs if a in _AXIOM_CONDITION),
+                features=_FEATURES[base],
+            )
     return out
 
 
 LOGICS: Dict[str, Logic] = _build()
-LOGIC_NAMES = list(LOGICS)
 
 
 def get_logic(name: str) -> Logic:

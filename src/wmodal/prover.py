@@ -134,10 +134,14 @@ class Engine:
     def __init__(self, logic: Logic):
         self.logic = logic
         mode = logic.mode
-        self.eager_rules = [r for r in RULES.values()
-                            if r.name in logic.rules and mode in r.invertible]
-        self.choice_rules = [RULES[name] for name in logic.rules
-                             if mode not in RULES[name].invertible]
+        # (rule, commit) in the order search tries them: the invertible
+        # rules in table order, closure first, committing to their first
+        # unblocked instance; then the others, backtracking.
+        self.rules = (
+            [(r, True) for r in RULES.values()
+             if r.name in logic.rules and mode in r.invertible]
+            + [(RULES[name], False) for name in logic.rules
+               if mode not in RULES[name].invertible])
         self.proved: Dict[Sequent, Derivation] = {}
         self.failed: Set[Sequent] = set()
 
@@ -186,60 +190,34 @@ class Engine:
 
     def _expand(self, seq: Sequent, anc: set):
         c = Shape(seq.mode, seq.ant, seq.suc)
-        blocked_here = False
-
-        # Eager phase: commit to the first unblocked invertible instance;
-        # the closure rules Lbot and init come first.
-        for rule in self.eager_rules:
-            committed = None
-            for prems, principal in calculus.instances(rule, c):
-                if any(p in anc for p in prems):
-                    blocked_here = True
-                    self._blocks += 1
-                    continue
-                committed = prems, principal
-                break
-            if committed is None:
-                continue
-            prems, principal = committed
-            # Committing to any unblocked instance of an invertible rule is
-            # complete, and a pure failure of its premises refutes the
-            # conclusion regardless of blocks among skipped instances.
-            pure = True
-            kids = []
-            for p in prems:
-                d, p_pure = self._search(p, anc)
-                pure = pure and p_pure
-                if d is None:
-                    if pure:
-                        self.failed.add(seq)
-                    return None, pure
-                kids.append(d)
-            d = Derivation(rule.name, seq, principal, tuple(kids))
-            self.proved[seq] = d
-            return d, True
-
-        # Choice phase: backtracking over the remaining rules.
-        pure = not blocked_here
-        for rule in self.choice_rules:
+        pure = True
+        for rule, commit in self.rules:
             for prems, principal in calculus.instances(rule, c):
                 if any(p in anc for p in prems):
                     pure = False
                     self._blocks += 1
                     continue
                 kids = []
-                ok = True
+                kids_pure = True
                 for p in prems:
                     d, p_pure = self._search(p, anc)
-                    pure = pure and p_pure
+                    kids_pure = kids_pure and p_pure
                     if d is None:
-                        ok = False
                         break
                     kids.append(d)
-                if ok:
+                else:
                     d = Derivation(rule.name, seq, principal, tuple(kids))
                     self.proved[seq] = d
                     return d, True
+                if commit:
+                    # Committing to any unblocked instance of an invertible
+                    # rule is complete, and a pure failure of its premises
+                    # refutes the conclusion regardless of blocks among
+                    # skipped instances.
+                    if kids_pure:
+                        self.failed.add(seq)
+                    return None, kids_pure
+                pure = pure and kids_pure
         if pure:
             self.failed.add(seq)
         return None, pure

@@ -9,13 +9,12 @@ sorted sides; `key_of` exposes the underlying pair of sets.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from . import syntax
-from .syntax import Formula, ParseError
+from .syntax import Formula
 
 CLASSICAL = "classical"
 CONSTRUCTIVE = "constructive"
@@ -83,37 +82,7 @@ def interpret(seq: Sequent) -> Formula:
     return syntax.imp(lhs, rhs)
 
 
-def parse_sequent(text: str, mode: str, names: Optional[dict] = None) -> Sequent:
+def parse_sequent(text: str, mode: str) -> Sequent:
     """Parse "A1, A2 |- B" (either side may be empty) in the given mode."""
-    if "|-" not in text:
-        raise ParseError("sequent must contain '|-'", 0)
-    left_txt, _, right_txt = text.partition("|-")
-    if names is None:
-        names = {}
-    reserved = {int(m[1:]) for m in re.findall(r"\bp[0-9]+\b", text)}
-
-    def side(txt):
-        out = []
-        depth = 0
-        part = []
-        for ch in txt:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch == "," and depth == 0:
-                out.append("".join(part))
-                part = []
-            else:
-                part.append(ch)
-        out.append("".join(part))
-        fs = []
-        for chunk in out:
-            if chunk.strip() == "":
-                continue
-            fs.append(syntax.parse(chunk, names, reserved))
-        return tuple(fs)
-
-    ant = side(left_txt)
-    suc = side(right_txt)
+    ant, suc = syntax.parse_sides(text)
     return Sequent(ant, suc, mode)

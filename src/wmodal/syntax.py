@@ -8,7 +8,7 @@ only ever sees the seven primitive constructors.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional
+from typing import Iterable, Tuple
 
 ATOM = "atom"
 BOT = "bot"
@@ -163,22 +163,18 @@ def var_set_all(fs: Iterable[Formula]) -> frozenset:
 # ---------------------------------------------------------------------------
 # Parsing
 
+# A unicode alias is a token of its own, read as its ASCII form, so that
+# error positions count the characters of the text as given.
 _UNICODE = {
-    "⊥": " bot ",
-    "⊤": " top ",
-    "¬": " ~ ",
-    "∧": " & ",
-    "∨": " | ",
-    "→": " -> ",
-    "↔": " <-> ",
-    "□": " [] ",
-    "◇": " <> ",
-    "⋄": " <> ",
+    "⊥": "bot", "⊤": "top", "¬": "~", "∧": "&", "∨": "|",
+    "→": "->", "↔": "<->", "□": "[]", "◇": "<>", "⋄": "<>",
 }
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow><->|->)|(?P<op>\[\]|<>|[&|~()])|(?P<word>[A-Za-z_][A-Za-z0-9_]*))"
-)
+# "|-" and "," only occur in sequents; "|-" is never part of a formula.
+_TOKEN_RE = re.compile(r"\s*(<->|->|\|-|\[\]|<>|[&|~(),%s]|[A-Za-z_][A-Za-z0-9_]*)"
+                       % "".join(_UNICODE))
+_INDEXED = re.compile(r"p[0-9]+")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _tokenize(text: str):
@@ -187,30 +183,36 @@ def _tokenize(text: str):
     while i < len(text):
         m = _TOKEN_RE.match(text, i)
         if m is None:
-            if text[i:].strip() == "":
+            rest = text[i:].lstrip()
+            if rest == "":
                 break
-            raise ParseError("unexpected character %r" % text[i:].lstrip()[0], i)
-        tok = m.group("arrow") or m.group("op") or m.group("word")
-        tokens.append((tok, m.start()))
+            raise ParseError("unexpected character %r" % rest[0],
+                             len(text) - len(rest))
+        tok = m.group(1)
+        tokens.append((_UNICODE.get(tok, tok), m.start(1)))
         i = m.end()
     tokens.append((None, len(text)))
     return tokens
 
 
+def _reserved(token_lists) -> set:
+    """The indices k written explicitly as p<k> in the token lists."""
+    return {int(t[1:]) for tokens in token_lists for t, _ in tokens
+            if t and _INDEXED.fullmatch(t)}
+
+
 class _Parser:
-    def __init__(self, text: str, names: Optional[dict] = None, reserved=None):
-        for u, repl in _UNICODE.items():
-            text = text.replace(u, repl)
-        self.text = text
-        self.tokens = _tokenize(text)
+    """Recursive descent over one token list.
+
+    Bare identifiers map to fresh indices in first-occurrence order, in
+    the name table names, skipping the indices in reserved.
+    """
+
+    def __init__(self, tokens, names: dict, reserved: set):
+        self.tokens = tokens
         self.pos = 0
-        # Bare identifiers map to fresh indices in first-occurrence order,
-        # skipping indices that appear explicitly as p<k> anywhere.
-        self.names = names if names is not None else {}
-        self.reserved = set(reserved) if reserved else set()
-        self.reserved |= {
-            int(t[1:]) for t, _ in self.tokens if t and re.fullmatch(r"p[0-9]+", t)
-        }
+        self.names = names
+        self.reserved = reserved
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -225,6 +227,11 @@ class _Parser:
         if got != tok:
             raise ParseError("expected %r, found %r" % (tok, got), at)
 
+    def end(self):
+        tok, at = self.next()
+        if tok is not None:
+            raise ParseError("trailing input %r" % tok, at)
+
     def fresh_index(self, name):
         if name in self.names:
             return self.names[name]
@@ -234,6 +241,16 @@ class _Parser:
             i += 1
         self.names[name] = i
         return i
+
+    def side(self) -> tuple:
+        """A comma-separated, possibly empty, list of formulas."""
+        if self.peek() in ("|-", None):
+            return ()
+        fs = [self.formula()]
+        while self.peek() == ",":
+            self.next()
+            fs.append(self.formula())
+        return tuple(fs)
 
     def formula(self) -> Formula:
         lhs = self.or_level()
@@ -275,24 +292,45 @@ class _Parser:
             return bot
         if tok == "top":
             return top
-        if tok is not None and re.fullmatch(r"p[0-9]+", tok):
+        if tok is not None and _INDEXED.fullmatch(tok):
             i = int(tok[1:])
             if i < 1:
                 raise ParseError("atom indices start at 1", at)
             return atom(i)
-        if tok is not None and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+        if tok is not None and _NAME.fullmatch(tok):
             return atom(self.fresh_index(tok))
         raise ParseError("expected a formula, found %r" % (tok,), at)
 
 
-def parse(text: str, names: Optional[dict] = None, reserved=None) -> Formula:
+def parse_all(*texts: str) -> Tuple[Formula, ...]:
+    """Parse formulas that share one name table: a bare identifier is the
+    same atom in each of them, and p<k> anywhere reserves index k."""
+    token_lists = [_tokenize(t) for t in texts]
+    names: dict = {}
+    reserved = _reserved(token_lists)
+    out = []
+    for tokens in token_lists:
+        p = _Parser(tokens, names, reserved)
+        out.append(p.formula())
+        p.end()
+    return tuple(out)
+
+
+def parse(text: str) -> Formula:
     """Parse a formula from its ASCII (or unicode-aliased) surface syntax."""
-    p = _Parser(text, names, reserved)
-    f = p.formula()
-    tok, at = p.next()
-    if tok is not None:
-        raise ParseError("trailing input %r" % tok, at)
-    return f
+    return parse_all(text)[0]
+
+
+def parse_sides(text: str) -> Tuple[Tuple[Formula, ...], Tuple[Formula, ...]]:
+    """The two sides of "A1, A2 |- B" (either may be empty), parsed with
+    one name table as in `parse_all`."""
+    tokens = _tokenize(text)
+    p = _Parser(tokens, {}, _reserved([tokens]))
+    ant = p.side()
+    p.expect("|-")
+    suc = p.side()
+    p.end()
+    return ant, suc
 
 
 # ---------------------------------------------------------------------------

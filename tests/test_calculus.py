@@ -44,6 +44,48 @@ def test_rules_wkt():
         "iKbox", "iKdia", "idualandK", "iTbox", "iTdia"}
 
 
+# The order of logic.rules sets which derivation search finds, so the
+# whole catalogue is locked here: the modal rules of each logic, after
+# the propositional rules.
+MODAL_RULE_ORDER = {
+    "M": "Mbox Mdia dualandM dualorM",
+    "WM": "iMbox iMdia idualandM",
+    "MN": "Mbox Mdia dualandM dualorM Nbox Ndia",
+    "WMN": "iMbox iMdia idualandM iNbox iNdia",
+    "MC": "Cbox Cdia dualandC dualorC",
+    "WMC": "iCbox iCdia idualandC",
+    "K": "Kbox Kdia",
+    "WK": "iKbox iKdia idualandK",
+    "MP": "Mbox Mdia dualandM dualorM Pbox Pdia",
+    "WMP": "iMbox iMdia idualandM iPbox iPdia",
+    "MNP": "Mbox Mdia dualandM dualorM Nbox Ndia Pbox Pdia",
+    "WMNP": "iMbox iMdia idualandM iNbox iNdia iPbox iPdia",
+    "MD": "Mbox Mdia dualandM dualorM D Dbox Ddia Pbox Pdia",
+    "WMD": "iMbox iMdia idualandM iD iDbox iPbox iPdia",
+    "MND": "Mbox Mdia dualandM dualorM Nbox Ndia D Dbox Ddia Pbox Pdia",
+    "WMND": "iMbox iMdia idualandM iNbox iNdia iD iDbox iPbox iPdia",
+    "MCD": "Cbox Cdia dualandC dualorC CD",
+    "WMCD": "iCbox iCdia idualandC iCD iCDbox",
+    "KD": "Kbox Kdia CD",
+    "WKD": "iKbox iKdia idualandK iCD iCDbox",
+    "MT": "Mbox Mdia dualandM dualorM Tbox Tdia",
+    "WMT": "iMbox iMdia idualandM iTbox iTdia",
+    "MNT": "Mbox Mdia dualandM dualorM Nbox Ndia Tbox Tdia",
+    "WMNT": "iMbox iMdia idualandM iNbox iNdia iTbox iTdia",
+    "MCT": "Cbox Cdia dualandC dualorC Tbox Tdia",
+    "WMCT": "iCbox iCdia idualandC iTbox iTdia",
+    "KT": "Kbox Kdia Tbox Tdia",
+    "WKT": "iKbox iKdia idualandK iTbox iTdia",
+}
+
+
+def test_rule_order_of_every_logic():
+    prop = ("init", "Lbot", "Land", "Lor", "Limp", "Rand", "Ror", "Rimp")
+    assert [(name, logic.rules) for name, logic in LOGICS.items()] == [
+        (name, prop + tuple(modal.split()))
+        for name, modal in MODAL_RULE_ORDER.items()]
+
+
 def test_rule_table_matches_catalogue():
     names = [rule.name for rule in calculus._TABLE]
     assert len(names) == len(set(names)) == len(calculus.RULES)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from wmodal import cli, prover, semantics, syntax
 from wmodal.logics import get_logic
 
@@ -273,6 +275,26 @@ def test_unknown_logic_exit_64(capsys):
 
 def test_missing_subcommand_exit_64(capsys):
     assert cli.main([]) == 64
+
+
+# Each command accepts only the options it reads: prove, decide,
+# interpolate and selftest take both budget options, countermodel only
+# --timeout-secs, and --format follows the subcommand.
+@pytest.mark.parametrize("argv", [
+    ["--format", "structured", "decide", "--logic", "K", "p -> p"],
+    ["selftest", "--logic", "K"],
+    ["fuzz", "--logic", "WM", "--count", "1", "--max-nodes", "1"],
+    ["fuzz", "--logic", "WM", "--count", "1", "--timeout-secs", "1"],
+    ["countermodel", "--logic", "WK", "--max-nodes", "1", "--max-worlds", "2",
+     "[](p1 -> p2) -> ([]p1 -> []p2)"],
+    ["check-model", "--logic", "K", "--max-nodes", "1", "MODEL"],
+    ["check-model", "--logic", "K", "--timeout-secs", "1", "MODEL"],
+])
+def test_unread_option_exit_64(tmp_path, capsys, argv):
+    path = tmp_path / "model.json"
+    path.write_text(semantics.model_to_json(semantics.NeighModel(1, ((),), ())))
+    argv = [str(path) if a == "MODEL" else a for a in argv]
+    assert run(capsys, *argv)[0] == 64
 
 
 def test_budget_exit_two(capsys):

@@ -13,8 +13,8 @@ import wmodal
 from wmodal import sampling
 from wmodal.sequents import (CLASSICAL, CONSTRUCTIVE, Sequent, interpret,
                              key_of, norm_side, parse_sequent)
-from wmodal.syntax import (AND, ATOM, BOT, BOX, DIA, IMP, OR, atom, bot, box,
-                           conj, disj, imp, neg, parse, render)
+from wmodal.syntax import (AND, ATOM, BOT, BOX, DIA, IMP, OR, ParseError, atom,
+                           bot, box, conj, disj, imp, neg, parse, render)
 
 p1, p2, q = atom(1), atom(2), atom(3)
 
@@ -202,3 +202,13 @@ def test_parse_sequent_commas_inside_parens():
 def test_parse_sequent_requires_turnstile():
     with pytest.raises(ValueError):
         parse_sequent("p1, p2", CONSTRUCTIVE)
+
+
+@pytest.mark.parametrize("text, found, pos", [
+    ("p1, p2 |- p1 & $", "'$'", 15),
+    ("p1, p2, (p3 |- p1", "'|-'", 12),
+])
+def test_parse_sequent_error_position_in_whole_text(text, found, pos):
+    with pytest.raises(ParseError) as e:
+        parse_sequent(text, CONSTRUCTIVE)
+    assert e.value.pos == pos and found in str(e.value)

@@ -48,6 +48,12 @@ def test_unicode_aliases():
     assert parse("p1 ↔ p2") is parse("p1 <-> p2")
 
 
+def test_parse_error_position_counts_unicode_characters():
+    with pytest.raises(ParseError) as e:
+        parse("□p1 ∧ $")
+    assert e.value.pos == 6
+
+
 def test_bare_identifiers_get_fresh_indices():
     # q and r allocate fresh indices in first-occurrence order, skipping
     # the explicitly reserved p2.
