@@ -30,9 +30,7 @@ def main() -> int:
 
     names = args.logics.split(",") if args.logics else sorted(LOGICS)
     t0 = time.monotonic()
-    counts = {k: args.count for k in ("structural", "soundness", "disjunction",
-                                      "interpolation", "hereditariness")}
-    violations = suites.fuzz(args.seed, counts, names)
+    violations = suites.fuzz(args.seed, args.count, names)
     if args.inclusions:
         violations += suites.inclusion_suite(CLASSICAL, args.count, args.seed)
         violations += suites.inclusion_suite(CONSTRUCTIVE, args.count,

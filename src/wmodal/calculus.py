@@ -23,10 +23,11 @@ application of the box-absorbing rules uses every boxed formula of the
 relevant side at once ("use all boxes"); admissible weakening makes the
 partial-selection instances redundant.
 
-`check_step`, in contrast, accepts any instance of the rule schema
-modulo normalization: it rebuilds the premises from the conclusion and
-compares them side by side as sets, in any order.  The premises must
-have the conclusion's mode, and the instance a principal formula.  The
+`check_step`, in contrast, accepts any instance of the rule schema up
+to contraction: it rebuilds the premises from the conclusion as
+`Sequent`s, whose sides are sets, and compares them with the given
+premises as a multiset, in any order.  The premises must have the
+conclusion's mode, and the instance a principal formula.  The
 propositional and T rules keep the whole conclusion as
 context.  The other modal rules keep none, so the conclusion may hold
 any other formulas: their premises are rebuilt from the conclusion cut
@@ -40,9 +41,9 @@ positions by contraction, as in Dbox from A |- to []A |-.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
-from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent, norm_side
+from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent
 from .syntax import AND, ATOM, BOX, DIA, IMP, OR, Formula, bot
 
 if TYPE_CHECKING:
@@ -79,7 +80,8 @@ class Shape:
 
 
 # A builder yields (premises, principal) pairs, each premise an
-# (antecedent, succedent) pair of formula sequences, not yet normalized.
+# (antecedent, succedent) pair of formula sequences, which `Sequent`
+# normalizes.
 Builder = Callable[[Shape], Iterator[Tuple[list, tuple]]]
 
 
@@ -354,58 +356,50 @@ _TABLE = (
 RULES = {r.name: r for r in _TABLE}
 
 
-def instances(rule: Rule, c: Shape):
-    """Backward (premises, principal) instances of rule at the normalized
-    conclusion c.  Skipped are those that make no progress: without a
-    principal formula (CD with neither a box nor a succedent diamond),
-    which `check_step` rejects too, or with the conclusion as premise (a
-    T rule whose copy is already there), which it accepts.
+def instances(rule: Rule, c: Shape, seq: Optional[Sequent] = None):
+    """The (premises, principal) instances of rule at c that have a
+    principal formula, with the premises as `Sequent`s.  Given the
+    sequent seq that c classifies, backward search skips as well the
+    instance with seq as its only premise (a T rule whose copy is already
+    there), which makes no progress; `check_step` accepts it.
     """
     for prems, principal in rule.build(c):
-        if not principal:
-            continue
-        sides = [(norm_side(a), norm_side(s)) for a, s in prems]
-        if sides != [(c.ant, c.suc)]:
-            yield tuple(Sequent(a, s, c.mode) for a, s in sides), principal
+        if principal:
+            prems = tuple(Sequent(a, s, c.mode) for a, s in prems)
+            if prems != (seq,):
+                yield prems, principal
 
 
 def backward_applications(logic: Logic, seq: Sequent) -> List[RuleInstance]:
     """All backward instances of logic's rules at seq, in a fixed order."""
-    seq = seq.normalized()
     if seq.mode != logic.mode:
         raise ValueError("sequent mode %r does not match logic %s" % (seq.mode, logic))
     c = Shape(seq.mode, seq.ant, seq.suc)
     return [RuleInstance(name, seq, prems, principal)
             for name in logic.rules
-            for prems, principal in instances(RULES[name], c)]
+            for prems, principal in instances(RULES[name], c, seq)]
 
 
 # --- forward checking ------------------------------------------------------
 
 def check_step(logic: Logic, inst: RuleInstance) -> bool:
-    """Whether inst is an instance of its rule's schema in logic."""
-    if inst.rule not in logic.rules:
-        return False
-    concl = inst.conclusion.normalized()
-    if concl.mode != logic.mode or any(p.mode != concl.mode
-                                       for p in inst.premises):
+    """Whether inst is an instance of its rule's schema in logic: the
+    premises rebuilt from its conclusion equal its premises as a multiset
+    of sequents, which includes their mode."""
+    concl = inst.conclusion
+    if inst.rule not in logic.rules or concl.mode != logic.mode:
         return False
     rule = RULES[inst.rule]
-    given = [(norm_side(p.ant), norm_side(p.suc)) for p in inst.premises]
+    given = inst.premises
     if rule.contextual:
         c = Shape(concl.mode, concl.ant, concl.suc)
     else:
         c = Shape(concl.mode,
-                  _candidates(concl.ant, {f for a, _ in given for f in a}),
-                  _candidates(concl.suc, {f for _, s in given for f in s}))
-    for prems, principal in rule.build(c):
-        if not principal:
-            continue
-        built = [(norm_side(a), norm_side(s)) for a, s in prems]
-        if len(built) == len(given) and all(
-                built.count(p) == given.count(p) for p in built):
-            return True
-    return False
+                  _candidates(concl.ant, {f for p in given for f in p.ant}),
+                  _candidates(concl.suc, {f for p in given for f in p.suc}))
+    return any(len(prems) == len(given)
+               and all(prems.count(p) == given.count(p) for p in prems)
+               for prems, _ in instances(rule, c))
 
 
 def _candidates(side, subs):

@@ -182,13 +182,8 @@ def cmd_selftest(args, out):
 
 
 def cmd_fuzz(args, out):
-    logic_filter = [args.logic] if args.logic else None
-    counts = {}
-    if args.count:
-        counts = {k: args.count for k in
-                  ("structural", "soundness", "disjunction",
-                   "interpolation", "hereditariness")}
-    violations = suites.fuzz(args.seed, counts, logic_filter)
+    violations = suites.fuzz(args.seed, args.count,
+                             [args.logic] if args.logic else None)
     for v in violations:
         out.emit({"command": "fuzz", "violation": v}, "VIOLATION: %s" % v)
     out.emit({"command": "fuzz", "seed": args.seed,
@@ -252,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
                 budget=())
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=None,
-                   help="per-suite iteration count")
+                   help="iterations of every suite (default: each "
+                        "suite's own)")
     return ap
 
 

@@ -25,7 +25,7 @@ from . import prover, syntax
 from .calculus import RULES
 from .logics import Logic
 from .prover import Budget, Derivation
-from .sequents import CONSTRUCTIVE, Sequent, norm_side
+from .sequents import CONSTRUCTIVE, Sequent
 from .syntax import (DIA, Formula, bot, box, conj, dia, disj, imp, top,
                      var_set_all)
 
@@ -56,7 +56,7 @@ def interpolate_derivation(logic: Logic, d: Derivation, part: Partition,
                            budget: Budget = Budget()) -> InterpolationResult:
     if logic.mode != CONSTRUCTIVE:
         raise ValueError("interpolation is defined for the constructive logics")
-    concl = d.conclusion.normalized()
+    concl = d.conclusion
     left = frozenset(part.left)
     right = frozenset(part.right)
     if left | right != set(concl.ant) or not left <= set(concl.ant):
@@ -81,8 +81,8 @@ def craig(logic: Logic, a: Formula, b: Formula,
 
 
 def _certify(logic, c, left, right, suc, budget) -> InterpolationResult:
-    lseq = Sequent(norm_side(left), (c,), CONSTRUCTIVE)
-    rseq = Sequent(norm_side(set(right) | {c}), tuple(suc), CONSTRUCTIVE)
+    lseq = Sequent(left, (c,), CONSTRUCTIVE)
+    rseq = Sequent(set(right) | {c}, suc, CONSTRUCTIVE)
     lres = prover.prove(logic, lseq, budget)
     rres = prover.prove(logic, rseq, budget)
     if not (lres.proved and rres.proved):

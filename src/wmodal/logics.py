@@ -194,30 +194,24 @@ def lattice_edges(mode: str) -> List[Tuple[str, str]]:
 # ---------------------------------------------------------------------------
 # Expected status of each axiom schema in each logic: the oracle for the
 # axiom/negative matrices.  Classical logics validate the boolean duality
-# schemata outright; the constructive ones only validate dual_and.
+# schemata outright.  The constructive ones validate only dual_and of them
+# and never C_dia; otherwise both families follow one table.
+
+_CONSTRUCTIVE_NON_THEOREMS = ("dual", "dual_or", "C_dia")
+
 
 def expected_axiom_status(logic: Logic, schema: str) -> bool:
+    if logic.mode == CONSTRUCTIVE and schema in _CONSTRUCTIVE_NON_THEOREMS:
+        return False
     f = logic.features
-    if logic.mode == CLASSICAL:
-        table = {
-            "dual": True, "dual_and": True, "dual_or": True,
-            "K_box": "c" in f, "K_dia": "c" in f,
-            "C_box": "c" in f, "C_dia": "c" in f,
-            "N_box": "n" in f, "N_dia": "n" in f,
-            "T_box": "t" in f, "T_dia": "t" in f,
-            "D": "d" in f or "t" in f,
-            "P_box": "p" in f or "d" in f or "t" in f,
-            "P_dia": "p" in f or "d" in f or "t" in f,
-        }
-    else:
-        table = {
-            "dual": False, "dual_and": True, "dual_or": False,
-            "K_box": "c" in f, "K_dia": "c" in f,
-            "C_box": "c" in f, "C_dia": False,
-            "N_box": "n" in f, "N_dia": "n" in f,
-            "T_box": "t" in f, "T_dia": "t" in f,
-            "D": "d" in f or "t" in f,
-            "P_box": "p" in f or "d" in f or "t" in f,
-            "P_dia": "p" in f or "d" in f or "t" in f,
-        }
+    table = {
+        "dual": True, "dual_and": True, "dual_or": True,
+        "K_box": "c" in f, "K_dia": "c" in f,
+        "C_box": "c" in f, "C_dia": "c" in f,
+        "N_box": "n" in f, "N_dia": "n" in f,
+        "T_box": "t" in f, "T_dia": "t" in f,
+        "D": "d" in f or "t" in f,
+        "P_box": "p" in f or "d" in f or "t" in f,
+        "P_dia": "p" in f or "d" in f or "t" in f,
+    }
     return table[schema]

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 from . import calculus
 from .calculus import RULES, RuleInstance, Shape
 from .logics import Logic
-from .sequents import CONSTRUCTIVE, Sequent, norm_side
+from .sequents import CONSTRUCTIVE, Sequent
 from .syntax import Formula
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
@@ -45,7 +45,8 @@ class BudgetExceeded(Exception):
 
 
 class Derivation:
-    """A derivation tree; conclusions are set-normalized sequents."""
+    """A derivation tree; its conclusions are `Sequent`s, whose sides are
+    normalized when they are built."""
 
     __slots__ = ("rule", "conclusion", "principal", "children", "height")
 
@@ -147,7 +148,6 @@ class Engine:
 
     # -- public -----------------------------------------------------------
     def prove(self, seq: Sequent, budget: Budget = Budget()) -> ProofResult:
-        seq = seq.normalized()
         self._nodes = 0
         self._blocks = 0
         self._max_nodes = budget.max_nodes
@@ -192,7 +192,7 @@ class Engine:
         c = Shape(seq.mode, seq.ant, seq.suc)
         pure = True
         for rule, commit in self.rules:
-            for prems, principal in calculus.instances(rule, c):
+            for prems, principal in calculus.instances(rule, c, seq):
                 if any(p in anc for p in prems):
                     pure = False
                     self._blocks += 1
@@ -256,7 +256,7 @@ def decide(logic: Logic, f: Formula, budget: Budget = Budget()) -> bool:
 
 def prove_from(logic: Logic, assumptions: Iterable[Formula], f: Formula,
                budget: Budget = Budget()) -> ProofResult:
-    return prove(logic, Sequent(norm_side(assumptions), (f,), logic.mode), budget)
+    return prove(logic, Sequent(assumptions, (f,), logic.mode), budget)
 
 
 def check(logic: Logic, d: Derivation) -> bool:

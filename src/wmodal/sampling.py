@@ -13,7 +13,6 @@ from typing import List, Optional
 
 from . import prover, syntax
 from .logics import Logic, instantiate_axiom
-from .prover import Budget
 from .sequents import CONSTRUCTIVE, Sequent
 from .syntax import Formula, atom, bot, box, conj, dia, disj, imp
 
@@ -35,8 +34,7 @@ def random_formula(rng: random.Random, size: int, num_atoms: int = 3) -> Formula
 
 
 def sample_theorem(logic: Logic, rng: random.Random, size: int = 5,
-                   num_atoms: int = 3, budget: Budget = Budget(),
-                   shape: Optional[str] = None) -> Formula:
+                   num_atoms: int = 3, shape: Optional[str] = None) -> Formula:
     """One prover-confirmed theorem; shape can force 'or' or 'imp' roots."""
     while True:
         f = _candidate(logic, rng, size, num_atoms, shape)
@@ -45,7 +43,7 @@ def sample_theorem(logic: Logic, rng: random.Random, size: int = 5,
         if shape == "imp" and f.kind != syntax.IMP:
             continue
         try:
-            if prover.decide(logic, f, budget):
+            if prover.decide(logic, f):
                 return f
         except prover.BudgetExceeded:
             continue
@@ -73,17 +71,9 @@ def _candidate(logic, rng, size, num_atoms, shape):
     return rf()
 
 
-def theorem_pool(logic: Logic, rng: random.Random, count: int,
-                 size: int = 5, num_atoms: int = 3,
-                 shape: Optional[str] = None) -> List[Formula]:
-    return [sample_theorem(logic, rng, size, num_atoms, shape=shape)
-            for _ in range(count)]
-
-
 def sample_derivable_sequent(logic: Logic, rng: random.Random,
                              size: int = 4, num_atoms: int = 3,
-                             max_side: int = 4,
-                             budget: Budget = Budget()) -> Sequent:
+                             max_side: int = 4) -> Sequent:
     """One prover-confirmed derivable sequent with random sides."""
     mode = logic.mode
     while True:
@@ -100,9 +90,9 @@ def sample_derivable_sequent(logic: Logic, rng: random.Random,
             if ant and (mode != CONSTRUCTIVE or not suc):
                 pick = rng.choice(ant)
                 suc = [pick] if mode == CONSTRUCTIVE else suc + [pick]
-        seq = Sequent(tuple(ant), tuple(suc), mode).normalized()
+        seq = Sequent(ant, suc, mode)
         try:
-            if prover.prove(logic, seq, budget).proved:
+            if prover.prove(logic, seq).proved:
                 return seq
         except prover.BudgetExceeded:
             continue

@@ -317,12 +317,15 @@ class ResamplingExhausted(RuntimeError):
     pass
 
 
-def random_model(logic: Logic, max_worlds: int, seed: int,
-                 num_atoms: int = 3, tries: int = 500):
-    """Random model of logic's class: repair (N)/(T)/(C), resample on (D)/(P)."""
+_RANDOM_MODEL_TRIES = 500
+
+
+def random_model(logic: Logic, max_worlds: int, seed: int):
+    """Random model of logic's class over p1, p2, p3: repair (N)/(T)/(C),
+    resample on (D)/(P) up to _RANDOM_MODEL_TRIES times."""
     rng = random.Random(seed)
     conds = logic.conditions
-    for _ in range(tries):
+    for _ in range(_RANDOM_MODEL_TRIES):
         n = rng.randint(1, max_worlds)
         full = (1 << n) - 1
         succ = list(_discrete(n))
@@ -346,7 +349,7 @@ def random_model(logic: Logic, max_worlds: int, seed: int,
                 fam = set(_close_intersection(fam))
             neigh.append(tuple(sorted(fam)))
         val = []
-        for a in range(1, num_atoms + 1):
+        for a in (1, 2, 3):
             m = rng.randint(0, full)
             # upward closure keeps the valuation hereditary
             for w in _bits(m):
@@ -355,7 +358,8 @@ def random_model(logic: Logic, max_worlds: int, seed: int,
         model = _assemble(logic, n, tuple(succ), tuple(neigh), tuple(val))
         if conditions_hold(model, conds):
             return model
-    raise ResamplingExhausted("no %s-model found in %d tries" % (logic.name, tries))
+    raise ResamplingExhausted("no %s-model found in %d tries"
+                              % (logic.name, _RANDOM_MODEL_TRIES))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 A sequent is a pair of finite multisets ant |- suc.  Constructive-mode
 sequents keep at most one succedent formula; classical-mode sequents are
 unrestricted.  Since weakening and contraction are admissible in every
-calculus used here, proof search works with duplicate-free, canonically
-sorted sides; `key_of` exposes the underlying pair of sets.
+calculus used here, a `Sequent` stores its sides normalized when it is
+built: duplicate-free and in canonical order (`norm_side`).  Two sequents
+with the same sets of formulas on each side are therefore equal, which
+search caches, loop checks, step checking and certificates rely on.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ def norm_side(fs: Iterable[Formula]) -> Tuple[Formula, ...]:
 
 @dataclass(frozen=True, slots=True)
 class Sequent:
+    """ant |- suc in mode.  Either side may be given as any iterable of
+    formulas; it is stored normalized by `norm_side`."""
+
     ant: Tuple[Formula, ...]
     suc: Tuple[Formula, ...]
     mode: str
@@ -39,25 +44,24 @@ class Sequent:
     def __post_init__(self):
         if self.mode not in (CLASSICAL, CONSTRUCTIVE):
             raise ValueError("unknown mode %r" % self.mode)
-        if self.mode == CONSTRUCTIVE and len(set(self.suc)) > 1:
+        ant, suc = norm_side(self.ant), norm_side(self.suc)
+        if self.mode == CONSTRUCTIVE and len(suc) > 1:
             raise ValueError("constructive sequents have at most one succedent")
-        object.__setattr__(self, "_hash", hash((self.ant, self.suc, self.mode)))
+        object.__setattr__(self, "ant", ant)
+        object.__setattr__(self, "suc", suc)
+        object.__setattr__(self, "_hash", hash((ant, suc, self.mode)))
 
     def __hash__(self):
         return self._hash
 
     def normalized(self) -> "Sequent":
-        return Sequent(norm_side(self.ant), norm_side(self.suc), self.mode)
+        """The sequent itself: its sides are normalized when it is built."""
+        return self
 
     def __str__(self):
         left = ", ".join(syntax.render(f) for f in self.ant)
         right = ", ".join(syntax.render(f) for f in self.suc)
         return "%s |- %s" % (left, right)
-
-
-def key_of(seq: Sequent):
-    """Set-of-formulas view of a sequent, used for loop checking/caching."""
-    return (frozenset(seq.ant), frozenset(seq.suc), seq.mode)
 
 
 def interpret(seq: Sequent) -> Formula:
@@ -66,14 +70,14 @@ def interpret(seq: Sequent) -> Formula:
     The empty disjunction is bot; an empty antecedent contributes no
     implication.  Both folds follow the canonical side order.
     """
-    suc = norm_side(seq.suc)
+    suc = seq.suc
     if not suc:
         rhs = syntax.bot
     else:
         rhs = suc[0]
         for f in suc[1:]:
             rhs = syntax.disj(rhs, f)
-    ant = norm_side(seq.ant)
+    ant = seq.ant
     if not ant:
         return rhs
     lhs = ant[0]

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import interpolation, prover, sampling, semantics, syntax
-from .logics import (AXIOM_SCHEMAS, LOGICS, Logic, expected_axiom_status,
-                     instantiate_axiom, lattice_edges)
+from .logics import (AXIOM_SCHEMAS, BASE_NAMES, LOGICS, Logic,
+                     expected_axiom_status, instantiate_axiom, lattice_edges)
 from .prover import Budget
 from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent
 from .syntax import atom, parse
@@ -49,12 +49,8 @@ def axiom_matrix(budget: Budget = Budget()) -> List[MatrixRow]:
 # Fixed non-theorems (and their classical counterparts) used by the
 # negative matrix and countermodel cross-checks.
 NEGATIVE_SUITE: List[Tuple[str, str, bool]] = (
-    [("W" + b, "p | ~p", False) for b in
-     ("M", "MN", "MC", "K", "MP", "MNP", "MD", "MND", "MCD", "KD",
-      "MT", "MNT", "MCT", "KT")]
-    + [("W" + b, "[]p | <>~p", False) for b in
-       ("M", "MN", "MC", "K", "MP", "MNP", "MD", "MND", "MCD", "KD",
-        "MT", "MNT", "MCT", "KT")]
+    [("W" + b, "p | ~p", False) for b in BASE_NAMES]
+    + [("W" + b, "[]p | <>~p", False) for b in BASE_NAMES]
     + [("WMC", "<>(p|q) -> <>p | <>q", False),
        ("WK", "<>(p|q) -> <>p | <>q", False),
        ("WM", "[]p & []q -> [](p & q)", False),
@@ -91,12 +87,12 @@ def structural_suite(logic: Logic, count: int, seed: int,
         seq = sampling.sample_derivable_sequent(logic, rng, size, num_atoms)
         # weakening: extend either side with a fresh random formula
         extra = sampling.random_formula(rng, rng.randint(1, size), num_atoms)
-        wk_ant = Sequent(seq.ant + (extra,), seq.suc, seq.mode).normalized()
+        wk_ant = Sequent(seq.ant + (extra,), seq.suc, seq.mode)
         if not prover.prove(logic, wk_ant).proved:
             bad.append("weakening-left failed: %s + %s [%s seed=%d#%d]"
                        % (seq, syntax.render(extra), logic.name, seed, i))
         if logic.mode == CLASSICAL:
-            wk_suc = Sequent(seq.ant, seq.suc + (extra,), seq.mode).normalized()
+            wk_suc = Sequent(seq.ant, seq.suc + (extra,), seq.mode)
             if not prover.prove(logic, wk_suc).proved:
                 bad.append("weakening-right failed: %s [%s seed=%d#%d]"
                            % (seq, logic.name, seed, i))
@@ -112,12 +108,12 @@ def structural_suite(logic: Logic, count: int, seed: int,
             ctx = tuple(sampling.random_formula(rng, rng.randint(1, size),
                                                 num_atoms)
                         for _ in range(rng.randint(0, 2)))
-            right = Sequent((a,) + ctx, (a,), seq.mode).normalized()
+            right = Sequent((a,) + ctx, (a,), seq.mode)
             if not prover.prove(logic, right).proved:
                 bad.append("cut right premise failed: %s [%s seed=%d#%d]"
                            % (right, logic.name, seed, i))
                 continue
-            cut = Sequent(seq.ant + ctx, seq.suc, seq.mode).normalized()
+            cut = Sequent(seq.ant + ctx, seq.suc, seq.mode)
             if not prover.prove(logic, cut).proved:
                 bad.append("cut failed: %s | %s [%s seed=%d#%d]"
                            % (seq, cut, logic.name, seed, i))
@@ -127,13 +123,12 @@ def structural_suite(logic: Logic, count: int, seed: int,
 # ---------------------------------------------------------------------------
 # Disjunction property.
 
-def disjunction_suite(logic: Logic, count: int, seed: int,
-                      size: int = 5, num_atoms: int = 3) -> List[str]:
+def disjunction_suite(logic: Logic, count: int, seed: int) -> List[str]:
     assert logic.mode == CONSTRUCTIVE
     rng = random.Random(seed)
     bad = []
     for i in range(count):
-        f = sampling.sample_theorem(logic, rng, size, num_atoms, shape="or")
+        f = sampling.sample_theorem(logic, rng, shape="or")
         if not (prover.decide(logic, f.left) or prover.decide(logic, f.right)):
             bad.append("disjunction property failed: %s [%s seed=%d#%d]"
                        % (syntax.render(f), logic.name, seed, i))
@@ -143,13 +138,12 @@ def disjunction_suite(logic: Logic, count: int, seed: int,
 # ---------------------------------------------------------------------------
 # Interpolation contract.
 
-def interpolation_suite(logic: Logic, count: int, seed: int,
-                        size: int = 5, num_atoms: int = 3) -> List[str]:
+def interpolation_suite(logic: Logic, count: int, seed: int) -> List[str]:
     assert logic.mode == CONSTRUCTIVE
     rng = random.Random(seed)
     bad = []
     for i in range(count):
-        f = sampling.sample_theorem(logic, rng, size, num_atoms, shape="imp")
+        f = sampling.sample_theorem(logic, rng, shape="imp")
         try:
             interpolation.craig(logic, f.left, f.right)
         except Exception as e:  # contract violations surface as exceptions
@@ -161,15 +155,16 @@ def interpolation_suite(logic: Logic, count: int, seed: int,
 # ---------------------------------------------------------------------------
 # Soundness fuzz: theorems valid in random models of the logic's class.
 
-def soundness_suite(logic: Logic, count: int, seed: int,
-                    pool_size: int = 40, size: int = 5,
-                    num_atoms: int = 3, max_worlds: int = 4) -> List[str]:
+def soundness_suite(logic: Logic, count: int, seed: int) -> List[str]:
+    """count random models of logic's class, each against the next of 40
+    sampled theorems in turn."""
+    if count < 1:
+        return []   # no model to check, so sample no theorems
     rng = random.Random(seed)
-    pool = sampling.theorem_pool(logic, rng, pool_size, size, num_atoms)
+    pool = [sampling.sample_theorem(logic, rng) for _ in range(40)]
     bad = []
     for i in range(count):
-        model = semantics.random_model(logic, max_worlds, rng.getrandbits(32),
-                                       num_atoms)
+        model = semantics.random_model(logic, 4, rng.getrandbits(32))
         f = pool[i % len(pool)]
         if not semantics.valid_in_model(model, f):
             bad.append("soundness failed: %s refuted in %s [%s seed=%d#%d]"
@@ -181,16 +176,14 @@ def soundness_suite(logic: Logic, count: int, seed: int,
 # ---------------------------------------------------------------------------
 # Hereditariness fuzz: forcing is monotone along <= in random CNMs.
 
-def hereditariness_suite(count: int, seed: int, size: int = 6,
-                         num_atoms: int = 3, max_worlds: int = 4) -> List[str]:
+def hereditariness_suite(count: int, seed: int) -> List[str]:
     rng = random.Random(seed)
     names = [l.name for l in LOGICS.values() if l.mode == CONSTRUCTIVE]
     bad = []
     for i in range(count):
         logic = LOGICS[rng.choice(names)]
-        model = semantics.random_model(logic, max_worlds, rng.getrandbits(32),
-                                       num_atoms)
-        f = sampling.random_formula(rng, rng.randint(1, size), num_atoms)
+        model = semantics.random_model(logic, 4, rng.getrandbits(32))
+        f = sampling.random_formula(rng, rng.randint(1, 6))
         ext = semantics.extension(model, f)
         for w in range(model.n):
             if ext >> w & 1 and model.succ[w] & ~ext:
@@ -205,22 +198,20 @@ def hereditariness_suite(count: int, seed: int, size: int = 6,
 # ---------------------------------------------------------------------------
 # Lattice inclusions.
 
-def inclusion_suite(mode: str, per_edge: int, seed: int,
-                    size: int = 5, num_atoms: int = 3) -> List[str]:
+def inclusion_suite(mode: str, per_edge: int, seed: int) -> List[str]:
     rng = random.Random(seed)
     bad = []
     for src_name, dst_name in lattice_edges(mode):
         src, dst = LOGICS[src_name], LOGICS[dst_name]
         for i in range(per_edge):
-            f = sampling.sample_theorem(src, rng, size, num_atoms)
+            f = sampling.sample_theorem(src, rng)
             if not prover.decide(dst, f):
                 bad.append("inclusion failed %s->%s on %s [seed=%d#%d]"
                            % (src_name, dst_name, syntax.render(f), seed, i))
     return bad
 
 
-def constructive_to_classical_suite(per_logic: int, seed: int,
-                                    size: int = 5, num_atoms: int = 3) -> List[str]:
+def constructive_to_classical_suite(per_logic: int, seed: int) -> List[str]:
     rng = random.Random(seed)
     bad = []
     for logic in LOGICS.values():
@@ -228,7 +219,7 @@ def constructive_to_classical_suite(per_logic: int, seed: int,
             continue
         classical = LOGICS[logic.base]
         for i in range(per_logic):
-            f = sampling.sample_theorem(logic, rng, size, num_atoms)
+            f = sampling.sample_theorem(logic, rng)
             if not prover.decide(classical, f):
                 bad.append("W-to-classical failed %s->%s on %s [seed=%d#%d]"
                            % (logic.name, classical.name, syntax.render(f),
@@ -239,19 +230,20 @@ def constructive_to_classical_suite(per_logic: int, seed: int,
 # ---------------------------------------------------------------------------
 # Full fuzz entry point for the CLI.
 
-def fuzz(seed: int, counts: Optional[Dict[str, int]] = None,
-         logic_filter: Optional[Sequence[str]] = None) -> List[str]:
-    counts = counts or {}
-    names = list(logic_filter) if logic_filter else list(LOGICS)
+def fuzz(seed: int, count: Optional[int] = None,
+         logics: Optional[Sequence[str]] = None) -> List[str]:
+    """The property suites over the named logics (default all 28), each
+    run count times, or its own number of times when count is None."""
+    def times(default):
+        return default if count is None else count
+
     violations: List[str] = []
-    for name in names:
+    for name in logics or LOGICS:
         logic = LOGICS[name]
-        violations += structural_suite(logic, counts.get("structural", 25), seed)
-        violations += soundness_suite(logic, counts.get("soundness", 100), seed)
+        violations += structural_suite(logic, times(25), seed)
+        violations += soundness_suite(logic, times(100), seed)
         if logic.mode == CONSTRUCTIVE:
-            violations += disjunction_suite(
-                logic, counts.get("disjunction", 25), seed)
-            violations += interpolation_suite(
-                logic, counts.get("interpolation", 15), seed)
-    violations += hereditariness_suite(counts.get("hereditariness", 200), seed)
+            violations += disjunction_suite(logic, times(25), seed)
+            violations += interpolation_suite(logic, times(15), seed)
+    violations += hereditariness_suite(times(200), seed)
     return violations

@@ -225,7 +225,7 @@ class _Parser:
     def expect(self, tok):
         got, at = self.next()
         if got != tok:
-            raise ParseError("expected %r, found %r" % (tok, got), at)
+            raise ParseError("expected %r, found %s" % (tok, _shown(got)), at)
 
     def end(self):
         tok, at = self.next()
@@ -299,7 +299,12 @@ class _Parser:
             return atom(i)
         if tok is not None and _NAME.fullmatch(tok):
             return atom(self.fresh_index(tok))
-        raise ParseError("expected a formula, found %r" % (tok,), at)
+        raise ParseError("expected a formula, found %s" % _shown(tok), at)
+
+
+def _shown(tok) -> str:
+    """A token as error messages name it; None ends every token list."""
+    return "end of input" if tok is None else repr(tok)
 
 
 def parse_all(*texts: str) -> Tuple[Formula, ...]:

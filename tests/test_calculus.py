@@ -5,9 +5,10 @@ import zlib
 
 import pytest
 
-from wmodal import calculus, sampling
+from wmodal import calculus, sampling, suites
 from wmodal.calculus import RuleInstance, backward_applications, check_step
-from wmodal.logics import LOGICS, get_logic, instantiate_axiom
+from wmodal.logics import (AXIOM_SCHEMAS, LOGICS, expected_axiom_status,
+                           get_logic, instantiate_axiom)
 from wmodal.sequents import CLASSICAL, CONSTRUCTIVE, Sequent, parse_sequent
 from wmodal.syntax import (atom, bot, box, conj, dia, disj, imp, neg,
                            subformulas, top)
@@ -91,6 +92,64 @@ def test_rule_table_matches_catalogue():
     assert len(names) == len(set(names)) == len(calculus.RULES)
     used = {name for logic in LOGICS.values() for name in logic.rules}
     assert used == set(names)
+
+
+# Expected status of each schema, in sorted schema order (C_box C_dia D
+# K_box K_dia N_box N_dia P_box P_dia T_box T_dia dual dual_and dual_or):
+# 1 a theorem, . not.
+AXIOM_STATUS = {
+    "M": "...........111",
+    "WM": "............1.",
+    "MN": ".....11....111",
+    "WMN": ".....11.....1.",
+    "MC": "11.11......111",
+    "WMC": "1..11.......1.",
+    "K": "11.1111....111",
+    "WK": "1..1111.....1.",
+    "MP": ".......11..111",
+    "WMP": ".......11...1.",
+    "MNP": ".....1111..111",
+    "WMNP": ".....1111...1.",
+    "MD": "..1....11..111",
+    "WMD": "..1....11...1.",
+    "MND": "..1..1111..111",
+    "WMND": "..1..1111...1.",
+    "MCD": "11111..11..111",
+    "WMCD": "1.111..11...1.",
+    "KD": "111111111..111",
+    "WKD": "1.1111111...1.",
+    "MT": "..1....1111111",
+    "WMT": "..1....1111.1.",
+    "MNT": "..1..111111111",
+    "WMNT": "..1..111111.1.",
+    "MCT": "11111..1111111",
+    "WMCT": "1.111..1111.1.",
+    "KT": "11111111111111",
+    "WKT": "1.111111111.1.",
+}
+
+
+def test_expected_axiom_status_of_every_cell():
+    schemas = sorted(AXIOM_SCHEMAS)
+    assert {name: "".join("1" if expected_axiom_status(logic, s) else "."
+                          for s in schemas)
+            for name, logic in LOGICS.items()} == AXIOM_STATUS
+
+
+def test_negative_suite():
+    bases = ["M", "MN", "MC", "K", "MP", "MNP", "MD", "MND", "MCD", "KD",
+             "MT", "MNT", "MCT", "KT"]
+    assert suites.NEGATIVE_SUITE == (
+        [("W" + b, "p | ~p", False) for b in bases]
+        + [("W" + b, "[]p | <>~p", False) for b in bases]
+        + [("WMC", "<>(p|q) -> <>p | <>q", False),
+           ("WK", "<>(p|q) -> <>p | <>q", False),
+           ("WM", "[]p & []q -> [](p & q)", False),
+           ("K", "[]p | <>~p", True),
+           ("K", "<>(p|q) -> <>p | <>q", True),
+           ("M", "p | ~p", True),
+           ("K", "p | ~p", True),
+           ("KT", "p | ~p", True)])
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +334,7 @@ def _random_sequent(rng, mode):
     else:
         suc = tuple(sampling.random_formula(rng, rng.randint(1, 4))
                     for _ in range(rng.randint(0, 2)))
-    return Sequent(ant, suc, mode).normalized()
+    return Sequent(ant, suc, mode)
 
 
 @pytest.mark.parametrize("name", sorted(LOGICS))

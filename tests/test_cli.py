@@ -262,6 +262,17 @@ def test_fuzz_small_run(capsys):
     assert structured_lines(out)[-1]["violations"] == 0
 
 
+def test_fuzz_count_zero_runs_no_iteration(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite ran an iteration")
+    monkeypatch.setattr(prover, "prove", refuse)
+    monkeypatch.setattr(semantics, "random_model", refuse)
+    code, out = run(capsys, "fuzz", "--logic", "WM", "--count", "0",
+                    "--format", "structured")
+    assert code == 0
+    assert structured_lines(out)[-1]["violations"] == 0
+
+
 # ---------------------------------------------------------------------------
 # usage and budget errors
 

@@ -1,5 +1,6 @@
 """Proof search, proof objects, proof checking, deducibility."""
 
+import hashlib
 import random
 
 import pytest
@@ -44,6 +45,30 @@ def test_wk_does_not_prove_excluded_middle():
 
 def test_classical_k_proves_dual_or():
     assert decide(get_logic("K"), parse("[]p1 | <>~p1"))
+
+
+# Searching every formula of size <= 5 over p1, p2 and bot (1,416) in all
+# 28 logics in turn, from cleared caches: the sha256 of each verdict, node
+# and loop-block count and each proof's (rule, conclusion) steps.  A change
+# to rule matching or search that keeps the calculi keeps this digest.
+SEARCH_DIGEST = "5dfebe4ddb665e02fd390075193f48b5a2a2b71d541c3e23f540612fd5145939"
+
+
+def test_search_results_of_size5_space_unchanged():
+    fs = sampling.formulas_up_to_size(5, 2)
+    assert len(fs) == 1416
+    h = hashlib.sha256()
+    prover.clear_caches()
+    for logic in LOGICS.values():
+        for f in fs:
+            res = prove(logic, prover.goal(logic, f))
+            h.update(("%s %d %d %d\n" % (logic.name, res.proved, res.stats.nodes,
+                                         res.stats.loop_blocks)).encode())
+            if res.proved:
+                for node in res.derivation.steps():
+                    h.update(("%s %s\n" % (node.rule, node.conclusion)).encode())
+    prover.clear_caches()
+    assert h.hexdigest() == SEARCH_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +217,7 @@ def test_proved_results_pass_check_everywhere():
             res = prove(logic, seq)
             assert res.proved
             assert check(logic, res.derivation)
-            assert res.derivation.conclusion == seq.normalized()
+            assert res.derivation.conclusion == seq
 
 
 # ---------------------------------------------------------------------------

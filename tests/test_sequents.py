@@ -12,7 +12,7 @@ import pytest
 import wmodal
 from wmodal import sampling
 from wmodal.sequents import (CLASSICAL, CONSTRUCTIVE, Sequent, interpret,
-                             key_of, norm_side, parse_sequent)
+                             norm_side, parse_sequent)
 from wmodal.syntax import (AND, ATOM, BOT, BOX, DIA, IMP, OR, ParseError, atom,
                            bot, box, conj, disj, imp, neg, parse, render)
 
@@ -46,28 +46,31 @@ def test_interpret_order_insensitive():
 
 
 # ---------------------------------------------------------------------------
-# keys and normalization
+# keys and normalization: a Sequent, the key of search caches, is built
+# normalized
 
 def test_key_collapses_duplicates():
     a = Sequent((p1, p1), (q,), CLASSICAL)
     b = Sequent((p1,), (q,), CLASSICAL)
-    assert key_of(a) == key_of(b)
+    assert a == b and hash(a) == hash(b)
 
 
 def test_key_order_insensitive():
     a = Sequent((p1, p2), (q,), CONSTRUCTIVE)
     b = Sequent((p2, p1), (q,), CONSTRUCTIVE)
-    assert key_of(a) == key_of(b)
+    assert a == b and hash(a) == hash(b)
 
 
-def test_key_of_empty():
-    assert key_of(Sequent((), (), CLASSICAL)) == \
-        (frozenset(), frozenset(), CLASSICAL)
+def test_key_empty():
+    s = Sequent([], iter(()), CLASSICAL)
+    assert (s.ant, s.suc) == ((), ())
+    assert s == Sequent((), (), CLASSICAL)
 
 
 def test_normalized_dedups_and_sorts():
-    s = Sequent((p2, p1, p2), (q,), CLASSICAL).normalized()
+    s = Sequent((p2, p1, p2), (q,), CLASSICAL)
     assert s.ant == (p1, p2)
+    assert s.normalized() is s
     assert norm_side((p2, p1, p2)) == (p1, p2)
 
 
@@ -156,7 +159,7 @@ def test_constructive_single_succedent_enforced():
 
 def test_constructive_duplicate_succedent_allowed():
     # duplicates of a single formula still denote one succedent formula
-    s = Sequent((), (p1, p1), CONSTRUCTIVE).normalized()
+    s = Sequent((), (p1, p1), CONSTRUCTIVE)
     assert s.suc == (p1,)
 
 

@@ -72,6 +72,18 @@ def test_parse_errors(bad):
         parse(bad)
 
 
+@pytest.mark.parametrize("read, text, message", [
+    (parse, "p1 ->", "expected a formula, found end of input (at position 5)"),
+    (parse, "(p1", "expected ')', found end of input (at position 3)"),
+    (syntax.parse_sides, "p1, p2",
+     "expected '|-', found end of input (at position 6)"),
+])
+def test_parse_error_names_end_of_input(read, text, message):
+    with pytest.raises(ParseError) as e:
+        read(text)
+    assert str(e.value) == message
+
+
 def test_parse_error_has_position():
     try:
         parse("p1 -> )")
