@@ -4,6 +4,12 @@ forward step checking.
 Each rule is written once, as a `Rule` in `RULES`.  Its builder reads a
 sequent classified once (`Shape`) and yields every instance of the
 rule's schema with that conclusion: premises and principal formulas.
+Each rule also declares the formula kinds its principal formulas have,
+per side (`Rule.needs`: Mbox needs a [] on both sides, Rimp a -> in the
+succedent, CD none).  That is a necessary condition only: a conclusion
+without those kinds has no instance, so search and `instances` skip the
+rule there without starting its builder, but one with them may still
+have none, which the builder decides.
 
 The constructive calculi WM ... WKT are the single-succedent restriction
 of the classical calculi M ... KT, and their modal rules are derived
@@ -41,10 +47,11 @@ positions by contraction, as in Dbox from A |- to []A |-.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, FrozenSet, Iterator, List,
+                    Optional, Tuple)
 
 from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent
-from .syntax import AND, ATOM, BOX, DIA, IMP, OR, Formula, bot
+from .syntax import AND, ATOM, BOT, BOX, DIA, IMP, OR, Formula, bot
 
 if TYPE_CHECKING:
     from .logics import Logic
@@ -59,18 +66,21 @@ class RuleInstance:
 
 
 class Shape:
-    """A sequent classified once for every rule."""
+    """A sequent classified once for every rule: the formula kinds on each
+    side, and its boxes and diamonds."""
 
-    __slots__ = ("mode", "ant", "suc", "ant_set", "boxes", "dias",
-                 "sboxes", "sdias", "box_subs", "sdia_subs")
+    __slots__ = ("mode", "ant", "suc", "ant_set", "ant_kinds", "suc_kinds",
+                 "boxes", "dias", "sboxes", "sdias", "box_subs", "sdia_subs")
 
     def __init__(self, mode: str, ant, suc):
         self.mode, self.ant, self.suc = mode, ant, suc
         self.ant_set = set(ant)
-        self.boxes = [f for f in ant if f.kind == BOX]
-        self.dias = [f for f in ant if f.kind == DIA]
-        self.sboxes = [f for f in suc if f.kind == BOX]
-        self.sdias = [f for f in suc if f.kind == DIA]
+        self.ant_kinds = ak = {f.kind for f in ant}
+        self.suc_kinds = sk = {f.kind for f in suc}
+        self.boxes = [f for f in ant if f.kind == BOX] if BOX in ak else []
+        self.dias = [f for f in ant if f.kind == DIA] if DIA in ak else []
+        self.sboxes = [f for f in suc if f.kind == BOX] if BOX in sk else []
+        self.sdias = [f for f in suc if f.kind == DIA] if DIA in sk else []
         self.box_subs = [f.left for f in self.boxes]
         self.sdia_subs = [f.left for f in self.sdias]
 
@@ -94,6 +104,17 @@ class Rule:
     invertible: Tuple[str, ...] = ()
     # The premises keep the conclusion's side formulas as context.
     contextual: bool = False
+    # The formula kinds, on the antecedent and on the succedent, that the
+    # conclusion of every instance with a principal formula holds.
+    needs: Tuple[FrozenSet[str], FrozenSet[str]] = (frozenset(), frozenset())
+
+    def fits(self, c: Shape) -> bool:
+        """Whether c holds the kinds the rule needs."""
+        return self.needs[0] <= c.ant_kinds and self.needs[1] <= c.suc_kinds
+
+
+def _needs(ant=(), suc=()):
+    return frozenset(ant), frozenset(suc)
 
 
 def _without(side, f):
@@ -306,52 +327,67 @@ _ALL = (CLASSICAL, CONSTRUCTIVE)
 # most one succedent formula a classical modal rule yields premises with
 # at most one, so renaming suffices except that
 # - iTdia replaces its principal by the subformula, where Tdia adds it;
-# - Kdia and CD split in two: iKdia and iCD keep the instances whose
-#   premise has a succedent formula, and idualandK and iCDbox apply them
-#   at the conclusion with its succedent weakened away, iCDbox needing a
-#   box;
+# - Kdia and CD split in two (`_SPLIT`): iKdia and iCD keep the instances
+#   whose premise has a succedent formula, and idualandK and iCDbox apply
+#   them at the conclusion with its succedent weakened away, iCDbox
+#   needing a box.  Both narrow the classical rule, so they keep its needs;
 # - dualorM, dualorC and Ddia need two succedent formulas.
 _CONSTRUCTIVE = {
-    "Tdia": (Rule("iTdia", _itdia, contextual=True),),
-    "Kdia": (Rule("iKdia", _with_succedent(_kdia)),
-             Rule("idualandK", _antecedent_only(_kdia))),
-    "CD": (Rule("iCD", _with_succedent(_cd)),
-           Rule("iCDbox", _antecedent_only(_cd))),
+    "Tdia": (Rule("iTdia", _itdia, contextual=True, needs=_needs(suc=[DIA])),),
     "dualorM": (), "dualorC": (), "Ddia": (),
 }
+_SPLIT = {"Kdia": "idualandK", "CD": "iCDbox"}
 
 
 def constructive(rule: Rule) -> Tuple[Rule, ...]:
     """The constructive rules derived from the classical modal rule."""
+    antecedent_name = _SPLIT.get(rule.name)
+    if antecedent_name:
+        return (replace(rule, name="i" + rule.name,
+                        build=_with_succedent(rule.build)),
+                replace(rule, name=antecedent_name,
+                        build=_antecedent_only(rule.build)))
     return _CONSTRUCTIVE.get(rule.name,
                              (replace(rule, name="i" + rule.name),))
 
 
 _MODAL = (
-    Rule("Tbox", _tbox, _ALL, contextual=True),
-    Rule("Tdia", _tdia, _ALL, contextual=True),
-    Rule("Mbox", _mbox), Rule("Mdia", _mdia), Rule("D", _d),
-    Rule("dualandM", _dualand_m), Rule("dualorM", _dualor_m),
-    Rule("Dbox", _dbox), Rule("Ddia", _ddia),
-    Rule("Nbox", _nbox), Rule("Ndia", _ndia),
-    Rule("Pbox", _pbox), Rule("Pdia", _pdia),
-    Rule("Kbox", _kbox), Rule("Cbox", _cbox),
-    Rule("Kdia", _kdia), Rule("Cdia", _cdia),
-    Rule("dualandC", _dualand_c), Rule("dualorC", _dualor_c),
+    Rule("Tbox", _tbox, _ALL, contextual=True, needs=_needs(ant=[BOX])),
+    Rule("Tdia", _tdia, _ALL, contextual=True, needs=_needs(suc=[DIA])),
+    Rule("Mbox", _mbox, needs=_needs(ant=[BOX], suc=[BOX])),
+    Rule("Mdia", _mdia, needs=_needs(ant=[DIA], suc=[DIA])),
+    Rule("D", _d, needs=_needs(ant=[BOX], suc=[DIA])),
+    Rule("dualandM", _dualand_m, needs=_needs(ant=[BOX, DIA])),
+    Rule("dualorM", _dualor_m, needs=_needs(suc=[BOX, DIA])),
+    Rule("Dbox", _dbox, needs=_needs(ant=[BOX])),
+    Rule("Ddia", _ddia, needs=_needs(suc=[DIA])),
+    Rule("Nbox", _nbox, needs=_needs(suc=[BOX])),
+    Rule("Ndia", _ndia, needs=_needs(ant=[DIA])),
+    Rule("Pbox", _pbox, needs=_needs(ant=[BOX])),
+    Rule("Pdia", _pdia, needs=_needs(suc=[DIA])),
+    Rule("Kbox", _kbox, needs=_needs(suc=[BOX])),
+    Rule("Cbox", _cbox, needs=_needs(ant=[BOX], suc=[BOX])),
+    Rule("Kdia", _kdia, needs=_needs(ant=[DIA])),
+    Rule("Cdia", _cdia, needs=_needs(ant=[DIA], suc=[DIA])),
+    Rule("dualandC", _dualand_c, needs=_needs(ant=[BOX, DIA])),
+    Rule("dualorC", _dualor_c, needs=_needs(suc=[BOX, DIA])),
+    # A box in the antecedent or a diamond in the succedent: no one kind.
     Rule("CD", _cd),
 )
 
 # Search tries the invertible rules in table order, closure first.  Each
 # classical modal rule is followed by its constructive rules.
 _TABLE = (
-    Rule("Lbot", _lbot, _ALL, contextual=True),
-    Rule("init", _init, _ALL, contextual=True),
-    Rule("Land", _land, _ALL, contextual=True),
-    Rule("Lor", _lor, _ALL, contextual=True),
-    Rule("Limp", _limp, (CLASSICAL,), contextual=True),
-    Rule("Rand", _rand, _ALL, contextual=True),
-    Rule("Ror", _ror, (CLASSICAL,), contextual=True),
-    Rule("Rimp", _rimp, _ALL, contextual=True),
+    Rule("Lbot", _lbot, _ALL, contextual=True, needs=_needs(ant=[BOT])),
+    Rule("init", _init, _ALL, contextual=True,
+         needs=_needs(ant=[ATOM], suc=[ATOM])),
+    Rule("Land", _land, _ALL, contextual=True, needs=_needs(ant=[AND])),
+    Rule("Lor", _lor, _ALL, contextual=True, needs=_needs(ant=[OR])),
+    Rule("Limp", _limp, (CLASSICAL,), contextual=True,
+         needs=_needs(ant=[IMP])),
+    Rule("Rand", _rand, _ALL, contextual=True, needs=_needs(suc=[AND])),
+    Rule("Ror", _ror, (CLASSICAL,), contextual=True, needs=_needs(suc=[OR])),
+    Rule("Rimp", _rimp, _ALL, contextual=True, needs=_needs(suc=[IMP])),
 ) + tuple(r for rule in _MODAL for r in (rule,) + constructive(rule))
 RULES = {r.name: r for r in _TABLE}
 
@@ -363,6 +399,8 @@ def instances(rule: Rule, c: Shape, seq: Optional[Sequent] = None):
     instance with seq as its only premise (a T rule whose copy is already
     there), which makes no progress; `check_step` accepts it.
     """
+    if not rule.fits(c):
+        return
     for prems, principal in rule.build(c):
         if principal:
             prems = tuple(Sequent(a, s, c.mode) for a, s in prems)

@@ -190,8 +190,14 @@ class Engine:
 
     def _expand(self, seq: Sequent, anc: set):
         c = Shape(seq.mode, seq.ant, seq.suc)
+        ant_kinds, suc_kinds = c.ant_kinds, c.suc_kinds
         pure = True
         for rule, commit in self.rules:
+            ant_needs, suc_needs = rule.needs
+            if not (ant_needs <= ant_kinds and suc_needs <= suc_kinds):
+                # No principal formula here, so no instance: `Rule.fits`,
+                # inlined in this loop over every rule at every node.
+                continue
             for prems, principal in calculus.instances(rule, c, seq):
                 if any(p in anc for p in prems):
                     pure = False

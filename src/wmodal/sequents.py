@@ -27,6 +27,10 @@ _order = attrgetter("key")
 
 def norm_side(fs: Iterable[Formula]) -> Tuple[Formula, ...]:
     """Duplicate-free side in a deterministic canonical order."""
+    fs = tuple(fs)
+    if len(fs) < 2:
+        # Normalized already, as most sides built in search are.
+        return fs
     return tuple(sorted(set(fs), key=_order))
 
 

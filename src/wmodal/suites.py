@@ -96,12 +96,15 @@ def structural_suite(logic: Logic, count: int, seed: int,
             if not prover.prove(logic, wk_suc).proved:
                 bad.append("weakening-right failed: %s [%s seed=%d#%d]"
                            % (seq, logic.name, seed, i))
-        # contraction: duplicated inputs decide identically
+        # contraction: A & A in place of an antecedent formula A, so that
+        # Land's premise holds A twice (a `Sequent` would drop a plain copy)
         if seq.ant:
-            dup = Sequent(seq.ant + (rng.choice(seq.ant),), seq.suc, seq.mode)
+            a = rng.choice(seq.ant)
+            dup = Sequent(tuple(syntax.conj(a, a) if f is a else f
+                                for f in seq.ant), seq.suc, seq.mode)
             if not prover.prove(logic, dup).proved:
                 bad.append("contraction failed: %s [%s seed=%d#%d]"
-                           % (seq, logic.name, seed, i))
+                           % (dup, logic.name, seed, i))
         # cut: from Γ ⇒ Δ (with A ∈ Δ) and A,Γ' ⇒ A conclude Γ,Γ' ⇒ Δ
         if seq.suc:
             a = seq.suc[0]

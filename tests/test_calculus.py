@@ -4,9 +4,11 @@ import random
 import zlib
 
 import pytest
+from test_interpolation import RULE_CONCLUSIONS
 
 from wmodal import calculus, sampling, suites
-from wmodal.calculus import RuleInstance, backward_applications, check_step
+from wmodal.calculus import (RuleInstance, Shape, backward_applications,
+                             check_step)
 from wmodal.logics import (AXIOM_SCHEMAS, LOGICS, expected_axiom_status,
                            get_logic, instantiate_axiom)
 from wmodal.sequents import CLASSICAL, CONSTRUCTIVE, Sequent, parse_sequent
@@ -369,3 +371,24 @@ def test_context_free_principals_list_succedent_first(name):
             assert all(f in seq.ant for f in pr), inst
     assert seen == {n for n in logic.rules
                     if not calculus.RULES[n].contextual}
+
+
+# ---------------------------------------------------------------------------
+# declared kinds: search skips a rule whose kinds a conclusion lacks, so
+# every instance's conclusion must hold them
+
+def test_declared_kinds_never_hide_an_instance():
+    rng = random.Random(9)
+    samples = [_random_sequent(rng, mode)
+               for mode in (CLASSICAL, CONSTRUCTIVE) for _ in range(300)]
+    samples += [parse_sequent(t, CONSTRUCTIVE) for t in RULE_CONCLUSIONS]
+    fired = set()
+    for seq in samples:
+        c = Shape(seq.mode, seq.ant, seq.suc)
+        for rule in calculus.RULES.values():
+            # The raw builder, not `instances`, which applies the test.
+            if any(principal for _, principal in rule.build(c)):
+                fired.add(rule.name)
+                assert rule.fits(c), "%s fires at %s" % (rule.name, seq)
+    assert len(calculus.RULES) == 47
+    assert fired >= {r.name for r in calculus.RULES.values() if any(r.needs)}

@@ -208,6 +208,15 @@ def test_countermodel_bad_max_worlds_exit_64(capsys):
                    "--max-worlds", n)[0] == 64
 
 
+@pytest.mark.parametrize("option", ["--timeout-secs", "--max-nodes"])
+def test_negative_budget_exit_64(capsys, option):
+    # The search reads the clock every 64 nodes only, so a negative
+    # timeout used to let a short search answer.
+    assert cli.main(["decide", "--logic", "WK", option, "-1",
+                     "[]p1 -> []p1"]) == 64
+    assert "must be 0 or more" in capsys.readouterr().err
+
+
 def test_check_model_roundtrip(tmp_path, capsys):
     m = semantics.random_model(get_logic("WMN"), 3, seed=2)
     path = tmp_path / "model.json"

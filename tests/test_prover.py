@@ -266,6 +266,24 @@ def test_weakening_contraction_cut_spot():
     assert suites.structural_suite(get_logic("WK"), 20, seed=3) == []
 
 
+def test_contraction_probe_proves_a_doubled_conjunction(monkeypatch):
+    # The probe replaces an antecedent formula A by A & A.  With every
+    # such sequent made unprovable, only the probe can report a failure:
+    # the sampled sequents, proved first, never hold one.
+    from wmodal import suites
+    real = prover.prove
+
+    def no_doubled(logic, seq, *args):
+        res = real(logic, seq, *args)
+        if any(f.kind == "and" and f.left is f.right for f in seq.ant):
+            return prover.ProofResult(False, None, res.stats)
+        return res
+
+    monkeypatch.setattr(prover, "prove", no_doubled)
+    bad = suites.structural_suite(get_logic("WK"), 5, seed=3)
+    assert any(b.startswith("contraction failed") for b in bad)
+
+
 def test_disjunction_property_spot():
     from wmodal import suites
     assert suites.disjunction_suite(get_logic("WM"), 15, seed=5) == []
