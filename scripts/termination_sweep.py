@@ -29,8 +29,11 @@ def main() -> int:
                     default=prover.DEFAULT_TIMEOUT_SECS)
     args = ap.parse_args()
 
+    try:
+        budget = prover.Budget(args.max_nodes, args.timeout_secs)
+    except ValueError as e:
+        ap.error(str(e))
     names = args.logics.split(",") if args.logics else sorted(LOGICS)
-    budget = prover.Budget(args.max_nodes, args.timeout_secs)
     space = sampling.formulas_up_to_size(args.max_size, args.num_atoms)
     print("sweeping %d formulas (size <= %d, %d atoms) over %d logics"
           % (len(space), args.max_size, args.num_atoms, len(names)))

@@ -69,17 +69,6 @@ def _budget(args) -> Budget:
     return Budget(max_nodes=args.max_nodes, timeout_secs=args.timeout_secs)
 
 
-def _non_negative(convert):
-    """An argparse type: convert, then reject a negative value (or NaN)."""
-    def parse(text):
-        value = convert(text)
-        if not value >= 0:
-            raise argparse.ArgumentTypeError("must be 0 or more: %r" % text)
-        return value
-    parse.__name__ = convert.__name__   # argparse's "invalid int value"
-    return parse
-
-
 def _parse_goal(logic, text):
     if "|-" in text:
         return parse_sequent(text, logic.mode)
@@ -223,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--logic", required=logic,
                            choices=sorted(LOGICS), metavar="LOGIC")
         if "max_nodes" in budget:
-            p.add_argument("--max-nodes", type=_non_negative(int),
+            p.add_argument("--max-nodes", type=int,
                            default=prover.DEFAULT_MAX_NODES)
         if "timeout_secs" in budget:
-            p.add_argument("--timeout-secs", type=_non_negative(float),
+            p.add_argument("--timeout-secs", type=float,
                            default=prover.DEFAULT_TIMEOUT_SECS)
         return p
 

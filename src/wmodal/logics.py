@@ -105,15 +105,6 @@ _AXIOM_CONDITION = {
     "D": "D", "P_box": "P", "P_dia": "P",
 }
 
-# Feature letters drive the expected-theorem oracle; they describe which
-# of N/C/D/P/T-style strength a base name carries.
-_FEATURES = {
-    "M": "", "MN": "n", "MC": "c", "K": "cn",
-    "MP": "p", "MNP": "np", "MD": "dp", "MND": "ndp",
-    "MCD": "cdp", "KD": "cndp", "MT": "t", "MNT": "nt",
-    "MCT": "ct", "KT": "cnt",
-}
-
 # ---------------------------------------------------------------------------
 # Sequent-calculus rule sets.  Their order is the order in which
 # `calculus.backward_applications` lists instances and search tries the
@@ -149,7 +140,6 @@ class Logic:
     axioms: Tuple[str, ...]
     rules: Tuple[str, ...]
     conditions: FrozenSet[str]
-    features: str
 
     def __str__(self):
         return self.name
@@ -170,7 +160,6 @@ def _build() -> Dict[str, Logic]:
                 rules=tuple(_PROPOSITIONAL + modal),
                 conditions=frozenset(
                     _AXIOM_CONDITION[a] for a in axs if a in _AXIOM_CONDITION),
-                features=_FEATURES[base],
             )
     return out
 
@@ -203,15 +192,15 @@ _CONSTRUCTIVE_NON_THEOREMS = ("dual", "dual_or", "C_dia")
 def expected_axiom_status(logic: Logic, schema: str) -> bool:
     if logic.mode == CONSTRUCTIVE and schema in _CONSTRUCTIVE_NON_THEOREMS:
         return False
-    f = logic.features
+    c = logic.conditions
     table = {
         "dual": True, "dual_and": True, "dual_or": True,
-        "K_box": "c" in f, "K_dia": "c" in f,
-        "C_box": "c" in f, "C_dia": "c" in f,
-        "N_box": "n" in f, "N_dia": "n" in f,
-        "T_box": "t" in f, "T_dia": "t" in f,
-        "D": "d" in f or "t" in f,
-        "P_box": "p" in f or "d" in f or "t" in f,
-        "P_dia": "p" in f or "d" in f or "t" in f,
+        "K_box": "C" in c, "K_dia": "C" in c,
+        "C_box": "C" in c, "C_dia": "C" in c,
+        "N_box": "N" in c, "N_dia": "N" in c,
+        "T_box": "T" in c, "T_dia": "T" in c,
+        "D": "D" in c or "T" in c,
+        "P_box": "P" in c or "D" in c or "T" in c,
+        "P_dia": "P" in c or "D" in c or "T" in c,
     }
     return table[schema]

@@ -34,6 +34,13 @@ class Budget:
     max_nodes: int = DEFAULT_MAX_NODES
     timeout_secs: float = DEFAULT_TIMEOUT_SECS
 
+    def __post_init__(self):
+        # `not x >= 0` also rejects NaN
+        for name in ("max_nodes", "timeout_secs"):
+            if not getattr(self, name) >= 0:
+                raise ValueError("%s must be 0 or more: %r"
+                                 % (name, getattr(self, name)))
+
 
 class BudgetExceeded(Exception):
     def __init__(self, reason: str, nodes: int, elapsed: float):

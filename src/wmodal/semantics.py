@@ -22,9 +22,9 @@ choice, choice c's (its lane) at bits c*n ... c*n+n-1.  Conjunction,
 disjunction and bot are then plain bit operations, `_lane_up` is up in
 every lane by shifts and masks, and `_lane_local` reads box and diamond
 locally in every lane from, for each neighbourhood a, the lane mask of
-the worlds whose family holds a.  `_run` is still the only place with
-forcing clauses: it runs over one lane for `extension` and over many for
-the enumeration.
+the worlds whose family holds a.  A formula compiles into one program
+that `_run` runs over one lane for `extension` and over many, with only
+the atoms' values spread over them, for the enumeration.
 """
 
 from __future__ import annotations
@@ -125,16 +125,11 @@ class ConstructiveNeighModel:
 # ---------------------------------------------------------------------------
 # Forcing
 
-def _up(succ, m: int) -> int:
-    """Worlds all of whose successors lie in m."""
-    return _mask(w for w, s in enumerate(succ) if not s & ~m)
-
-
 def _lane_up(succ, one: int):
-    """up for _run over lanes: the worlds of each lane all of whose
-    successors lie in the argument's lane.  Each shift d moves the bit
-    of world w + d onto world w in every lane at once; only the worlds
-    that have w + d as a successor are kept from it."""
+    """up for _run: the worlds of each lane all of whose successors lie
+    in the argument's lane.  Each shift d moves the bit of world w + d
+    onto world w in every lane at once; only the worlds that have w + d
+    as a successor are kept from it."""
     full = (1 << len(succ)) - 1
     kept: Dict[int, int] = {}       # shift -> the worlds it serves
     for w, s in enumerate(succ):
@@ -189,23 +184,16 @@ def _program(f: Formula):
     """Compile f into instructions over a list of extensions, one slot
     per subformula: the atoms first, by index, then the other subformulas
     in complexity order, so that children come before parents and f comes
-    last.  Returns the atoms' indices and the instructions (slot, kind,
-    left slot, right slot), split into those whose extension does not
-    depend on the neighbourhoods and those whose extension does; each
-    part is in slot order, and the first never reads the second."""
+    last.  Returns the atoms' indices, the instructions (slot, kind, left
+    slot, right slot) in slot order, and whether f has a modal
+    subformula."""
     order = sorted(subformulas(f),
                    key=lambda g: (g.kind != ATOM, g.complexity, g.index))
     slot = {g: i for i, g in enumerate(order)}
     atoms = tuple(g.index for g in order if g.kind == ATOM)
-    static, dynamic, modal = [], [], set()
-    for g in order[len(atoms):]:
-        i, l, r = slot[g], slot.get(g.left), slot.get(g.right)
-        if g.kind in (BOX, DIA) or l in modal or r in modal:
-            modal.add(i)
-            dynamic.append((i, g.kind, l, r))
-        else:
-            static.append((i, g.kind, l, r))
-    return atoms, tuple(static), tuple(dynamic)
+    program = tuple((slot[g], g.kind, slot.get(g.left), slot.get(g.right))
+                    for g in order[len(atoms):])
+    return atoms, program, any(k in (BOX, DIA) for _, k, _, _ in program)
 
 
 def _run(program, ext: list, full: int, up, local) -> list:
@@ -234,15 +222,15 @@ def _run(program, ext: list, full: int, up, local) -> list:
 
 def extension(model, f: Formula) -> int:
     """Mask of worlds forcing f: _run over a single lane."""
-    atoms, static, dynamic = _program(f)
+    atoms, program, _ = _program(f)
     val = dict(model.val)
-    ext = [val.get(a, 0) for a in atoms] + [0] * (len(static) + len(dynamic))
+    ext = [val.get(a, 0) for a in atoms] + [0] * len(program)
     mem: Dict[int, int] = {}
     for w, fam in enumerate(model.neigh):
         for a in fam:
             mem[a] = mem.get(a, 0) | 1 << w
     tests = [(a, a, _bits(a), m) for a, m in mem.items()]
-    return _run(static + dynamic, ext, model.full, _lane_up(model.succ, 1),
+    return _run(program, ext, model.full, _lane_up(model.succ, 1),
                 _lane_local(model.full, 1, tests))[-1]
 
 
@@ -412,26 +400,27 @@ def _preorders(n: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 @cache
-def _up_table(succ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """up as a table over every set of worlds, and the up-sets: the sets
-    a hereditary valuation may give an atom."""
-    up = tuple(_up(succ, m) for m in range(1 << len(succ)))
-    return up, tuple(m for m, u in enumerate(up) if u == m)
+def _upsets(succ) -> Tuple[int, ...]:
+    """The up-sets of the order, the sets a hereditary valuation may give
+    an atom, in bitmask order."""
+    up = _lane_up(succ, 1)
+    return tuple(m for m in range(1 << len(succ)) if up(m) == m)
 
 
 class _Slices:
     """The neighbourhood choices over n worlds, cut into slices that one
     run of _run covers, one choice per lane.  A slice is every choice for
     the worlds from k on, in product order, under one choice for the
-    worlds before k (its prefix).  Without modal slots the neighbourhoods
-    do not matter, and the first choice stands for them all."""
+    worlds before k (its prefix): k is 0, one slice of at most 20^3 =
+    8,000 lanes, below MAX_WORLDS, and n - 2 at MAX_WORLDS.  Without a
+    modal subformula the neighbourhoods do not matter, and the first
+    choice stands for them all."""
 
     def __init__(self, n: int, conds, modal: bool):
         fams = [_families(n, conds, w) for w in range(n)]
-        if modal:
-            k = max(n - 2, 0)       # the last two worlds: 168^2 lanes at 4
-        else:
-            k, fams = 0, [fs[:1] for fs in fams]
+        k = n - 2 if modal and n >= MAX_WORLDS else 0
+        if not modal:
+            fams = [fs[:1] for fs in fams]
         self.full = (1 << n) - 1
         self.prefixes = tuple(itertools.product(*fams[:k]))
         self.choices = tuple(itertools.product(*fams[k:]))
@@ -465,7 +454,7 @@ class _Slices:
 
 # Kept below MAX_WORLDS worlds only: at 4 worlds a slicing holds about
 # 4 MB and takes 0.1 s to build, little beside the 28,224 runs of _run
-# that each valuation takes there.
+# that each valuation takes there; at 3 worlds at most 0.01 s.
 _kept_slices = cache(_Slices)
 
 
@@ -485,9 +474,10 @@ def enumerate_countermodel(logic: Logic, f: Formula, max_worlds: int = 3,
     with at most max_worlds worlds, up to forcing equivalence; else None.
 
     Models are tried by size, preorder, valuation and then neighbourhood
-    choice in product order.  One run of _run covers a slice of the
-    choices (see _Slices); the lowest bit of the worlds it refutes is the
-    first refuting choice of the slice and its least world.
+    choice in product order.  Only the atoms' values are spread over the
+    lanes; one run of _run then covers a slice of the choices (see
+    _Slices), and the lowest bit of the worlds it refutes is the first
+    refuting choice of the slice and its least world.
 
     Raises BudgetExceeded, counting each model tried as a node, when
     budget's time runs out or when the search would have to go past
@@ -502,26 +492,23 @@ def enumerate_countermodel(logic: Logic, f: Formula, max_worlds: int = 3,
     def exceeded(reason):
         return BudgetExceeded(reason, tried, time.monotonic() - start)
 
-    atoms, static, dynamic = _program(f)
-    rest = [0] * (len(static) + len(dynamic))   # the slots after the atoms
+    atoms, program, modal = _program(f)
+    rest = [0] * len(program)       # the slots after the atoms
     for n in range(1, max_worlds + 1):
         if n > MAX_WORLDS:
             raise exceeded("more than %d worlds" % MAX_WORLDS)
-        full = (1 << n) - 1
-        sl = _slices(n, logic.conditions, bool(dynamic))
-        one, every, lanes = sl.one, full * sl.one, len(sl.choices)
+        sl = _slices(n, logic.conditions, modal)
+        one, every, lanes = sl.one, sl.full * sl.one, len(sl.choices)
         orders = (_preorders(n) if logic.mode == CONSTRUCTIVE
                   else (_discrete(n),))
         for succ in orders:
-            up, upsets = _up_table(succ)
-            lane_up = _lane_up(succ, one)
-            for vals in itertools.product(upsets, repeat=len(atoms)):
-                ext = _run(static, [*vals, *rest], full, up.__getitem__, None)
-                ext = [m * one for m in ext]
+            up = _lane_up(succ, one)
+            for vals in itertools.product(_upsets(succ), repeat=len(atoms)):
+                ext = [v * one for v in vals] + rest
                 for prefix in sl.prefixes:
                     if time.monotonic() > deadline:
                         raise exceeded("timeout")
-                    m = _run(dynamic, ext, every, lane_up, sl.local(prefix))[-1]
+                    m = _run(program, ext, every, up, sl.local(prefix))[-1]
                     if m != every:
                         bad = every & ~m
                         c, world = divmod((bad & -bad).bit_length() - 1, n)
@@ -557,39 +544,51 @@ def model_to_json(model) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _typed(value, kind, what: str):
+    if not isinstance(value, kind):
+        raise ValueError("%s must be a JSON %s"
+                         % (what, "array" if kind is list else "object"))
+    return value
+
+
+def _world_set(ws, n: int, what: str) -> int:
+    if not all(type(w) is int and 0 <= w < n for w in _typed(ws, list, what)):
+        raise ValueError("%s must hold worlds 0..%d only" % (what, n - 1))
+    return _mask(ws)
+
+
 def model_from_json(text: str):
+    """The model of a document model_to_json wrote; ValueError for any
+    document that is not one."""
     doc = json.loads(text)
-    if doc.get("version") != 1:
-        raise ValueError("unsupported model document version")
-    n = len(doc["worlds"])
-    if sorted(doc["worlds"]) != list(range(n)) or n == 0:
+    if not isinstance(doc, dict) or doc.get("version") != 1:
+        raise ValueError("not a version 1 model document")
+    n = len(worlds := _typed(doc.get("worlds"), list, "worlds"))
+    if n == 0 or _world_set(worlds, n, "worlds") != (1 << n) - 1:
         raise ValueError("worlds must be 0..n-1, nonempty")
+    fams = _typed(doc.get("neighbourhoods"), dict, "neighbourhoods")
     neigh = []
     for w in range(n):
-        fams = doc["neighbourhoods"].get(str(w), [])
-        masks = []
-        for a in fams:
-            m = _mask(a)
-            if m > (1 << n) - 1 or any(x >= n or x < 0 for x in a):
-                raise ValueError("neighbourhood out of range at world %d" % w)
-            masks.append(m)
-        neigh.append(tuple(sorted(set(masks))))
+        fam = _typed(fams.get(str(w), []), list, "the family of world %d" % w)
+        where = "a neighbourhood of world %d" % w
+        neigh.append(tuple(sorted({_world_set(a, n, where) for a in fam})))
     val = []
-    for key, ws in sorted(doc.get("valuation", {}).items()):
+    for key, ws in sorted(_typed(doc.get("valuation", {}), dict,
+                                 "valuation").items()):
         if not key.startswith("p"):
             raise ValueError("bad atom key %r" % key)
-        if any(x >= n or x < 0 for x in ws):
-            raise ValueError("valuation out of range for %s" % key)
-        val.append((int(key[1:]), _mask(ws)))
-    if doc["kind"] == CONSTRUCTIVE:
+        val.append((int(key[1:]), _world_set(ws, n, "the valuation of " + key)))
+    if doc.get("kind") == CONSTRUCTIVE:
         succ = [1 << w for w in range(n)]
-        for w, v in doc.get("order", []):
-            if not (0 <= w < n and 0 <= v < n):
-                raise ValueError("order pair out of range")
+        for pair in _typed(doc.get("order", []), list, "order"):
+            _world_set(pair, n, "an order pair")
+            if len(pair) != 2:
+                raise ValueError("an order pair has two worlds")
+            w, v = pair
             succ[w] |= 1 << v
         model = ConstructiveNeighModel(n, tuple(succ), tuple(neigh), tuple(val))
         model.validate()
         return model
-    if doc["kind"] == CLASSICAL:
+    if doc.get("kind") == CLASSICAL:
         return NeighModel(n, tuple(neigh), tuple(val))
-    raise ValueError("unknown model kind %r" % doc["kind"])
+    raise ValueError("unknown model kind %r" % doc.get("kind"))

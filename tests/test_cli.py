@@ -228,6 +228,25 @@ def test_check_model_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("doc", [
+    {"version": 1, "worlds": [0]},
+    [],
+    {"version": 1, "kind": "classical", "worlds": [0],
+     "neighbourhoods": {"0": [5]}},
+    {"version": 1, "kind": "classical", "worlds": [0, True],
+     "neighbourhoods": {}},
+    {"version": 1, "kind": "classical", "worlds": [0],
+     "neighbourhoods": {"0": [[0]]}, "valuation": {"p1": 1}},
+    {"version": 1, "kind": "constructive", "worlds": [0, 1],
+     "neighbourhoods": {}, "order": [[0, 1, 1]]},
+])
+def test_check_model_malformed_document_exit_64(tmp_path, capsys, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check-model", "--logic", "M", str(path)]) == 64
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_check_model_invalid_formula(tmp_path, capsys):
     m = semantics.ConstructiveNeighModel(1, (1,), ((),), ())
     path = tmp_path / "model.json"

@@ -234,6 +234,19 @@ def test_budget_node_limit_raises():
         prover.clear_caches()
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_nodes": -1}, {"timeout_secs": -0.5}, {"timeout_secs": float("nan")},
+])
+def test_budget_rejects_negative_or_nan(kwargs):
+    with pytest.raises(ValueError, match="must be 0 or more"):
+        Budget(**kwargs)
+
+
+def test_budget_accepts_zero_and_infinity():
+    assert Budget(0, 0.0) == Budget(max_nodes=0, timeout_secs=0)
+    assert Budget(timeout_secs=float("inf")).timeout_secs == float("inf")
+
+
 def test_verdicts_independent_of_cache_order():
     # The failure cache keeps only failures found without a loop block, so
     # what earlier goals left in the caches must not change a verdict.

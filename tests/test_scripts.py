@@ -15,8 +15,25 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ("run_fuzz.py", ["--count", "1", "--logics", "WM"]),
 ])
 def test_script_exits_zero(script, args):
+    proc = run_script(script, *args)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--timeout-secs", "-1"), ("--timeout-secs", "nan"), ("--max-nodes", "-1"),
+])
+def test_termination_sweep_rejects_bad_budget(option, value):
+    # Before any sweeping: the search reads the clock every 64 nodes
+    # only, so a negative timeout would let small formulas through.
+    proc = run_script("termination_sweep.py", "--max-size", "3",
+                      "--logics", "WK", option, value)
+    assert proc.returncode == 2
+    assert "must be 0 or more" in proc.stderr.decode()
+    assert proc.stdout == b""
+
+
+def run_script(script, *args):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", script), *args],
         env=env, capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()

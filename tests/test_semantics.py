@@ -265,6 +265,11 @@ def local_column(kind, fam, w, n):
     return tuple(all(a & b for a in fam) << w for b in range(1 << n))
 
 
+def up_of(succ, m):
+    """The worlds all of whose successors lie in m."""
+    return sum(1 << w for w, s in enumerate(succ) if not s & ~m)
+
+
 class TooLong(Exception):
     pass
 
@@ -274,34 +279,33 @@ def reference_countermodel(logic, f, max_worlds, limit):
     choice at a time, with a table of local forcing per choice: the loop
     that the lane-sliced search replaced.  Raises TooLong once it would
     try more than limit models."""
-    atoms, static, dynamic = semantics._program(f)
-    rest = [0] * (len(static) + len(dynamic))
+    atoms, program, modal = semantics._program(f)
+    rest = [0] * len(program)
     tried = 0
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
         choices = list(itertools.product(
             *(semantics._families(n, logic.conditions, w) for w in range(n))))
-        if not dynamic:
+        if not modal:
             choices = choices[:1]
         tables = []
         orders = (semantics._preorders(n) if logic.mode == CONSTRUCTIVE
                   else (semantics._discrete(n),))
         for succ in orders:
-            up = [semantics._up(succ, m) for m in range(full + 1)]
+            up = [up_of(succ, m) for m in range(full + 1)]
             upsets = [m for m in range(full + 1) if up[m] == m]
             for vals in itertools.product(upsets, repeat=len(atoms)):
                 tried += len(choices)
                 if tried > limit:
                     raise TooLong
-                ext = semantics._run(static, [*vals, *rest], full,
-                                     up.__getitem__, None)
+                ext = [*vals, *rest]
                 for i, neigh in enumerate(choices):
                     if i == len(tables):
                         tables.append({k: tuple(map(sum, zip(*(
                             local_column(k, fam, w, n)
                             for w, fam in enumerate(neigh))))).__getitem__
                             for k in (BOX, DIA)})
-                    m = semantics._run(dynamic, ext, full, up.__getitem__,
+                    m = semantics._run(program, ext, full, up.__getitem__,
                                        tables[i])[-1]
                     if m != full:
                         model = semantics._assemble(logic, n, succ, neigh,
@@ -323,8 +327,8 @@ def witness_doc(hit):
 
 def test_countermodel_matches_per_choice_reference():
     # Seeded 3-world searches in every logic, each of which gets to 3
-    # worlds, where the lanes are cut into slices under a choice for the
-    # first world.  The reference needs a full neighbourhood product per
+    # worlds, where one run covers every neighbourhood choice.  The
+    # reference needs a full neighbourhood product per
     # valuation, so searches it cannot end within 100,000 models (those
     # that try many valuations) are left out of the comparison.
     rng = random.Random(61)
@@ -351,17 +355,17 @@ def test_lanes_agree_with_recursive_forcing():
     for _ in range(80):
         logic = LOGICS[rng.choice(names)]
         f = sampling.random_formula(rng, rng.randint(2, 9), 2)
-        atoms, static, dynamic = semantics._program(f)
+        atoms, program, modal = semantics._program(f)
         n = rng.randint(1, 3)
         full = (1 << n) - 1
-        sl = semantics._slices(n, logic.conditions, bool(dynamic))
+        sl = semantics._slices(n, logic.conditions, modal)
         succ = rng.choice(semantics._preorders(n)
                           if logic.mode == CONSTRUCTIVE
                           else [semantics._discrete(n)])
-        vals = [rng.choice(semantics._up_table(succ)[1]) for _ in atoms]
+        vals = [rng.choice(semantics._upsets(succ)) for _ in atoms]
         prefix = rng.choice(sl.prefixes)
-        ext = [v * sl.one for v in vals] + [0] * (len(static) + len(dynamic))
-        m = semantics._run(static + dynamic, ext, full * sl.one,
+        ext = [v * sl.one for v in vals] + [0] * len(program)
+        m = semantics._run(program, ext, full * sl.one,
                            semantics._lane_up(succ, sl.one),
                            sl.local(prefix))[-1]
         for c, choice in enumerate(sl.choices):
@@ -369,6 +373,36 @@ def test_lanes_agree_with_recursive_forcing():
                                         tuple(zip(atoms, vals)))
             assert m >> c * n & full == reference_extension(model, f), \
                 (model_to_json(model), syntax.render(f))
+
+
+@pytest.mark.parametrize("name", ["WM", "WMN", "M", "KT"])
+def test_lanes_agree_with_recursive_forcing_at_4_worlds(name):
+    # Only MAX_WORLDS worlds cut the choices into slices: one random
+    # prefix of the first two worlds, 200 evenly spaced lanes of the
+    # last two worlds' choices.
+    rng = random.Random(name)
+    logic = LOGICS[name]
+    n = semantics.MAX_WORLDS
+    full = (1 << n) - 1
+    f = syntax.imp(box(sampling.random_formula(rng, 4, 2)),
+                   dia(sampling.random_formula(rng, 4, 2)))
+    atoms, program, modal = semantics._program(f)
+    sl = semantics._slices(n, logic.conditions, modal)
+    assert len(sl.prefixes) > 1
+    succ = rng.choice(semantics._preorders(n) if logic.mode == CONSTRUCTIVE
+                      else [semantics._discrete(n)])
+    vals = [rng.choice(semantics._upsets(succ)) for _ in atoms]
+    prefix = rng.choice(sl.prefixes)
+    ext = [v * sl.one for v in vals] + [0] * len(program)
+    m = semantics._run(program, ext, full * sl.one,
+                       semantics._lane_up(succ, sl.one),
+                       sl.local(prefix))[-1]
+    for c in range(0, len(sl.choices), len(sl.choices) // 200):
+        model = semantics._assemble(logic, n, succ, prefix + sl.choices[c],
+                                    tuple(zip(atoms, vals)))
+        lane = m >> c * n & full
+        assert lane == reference_extension(model, f), \
+            (model_to_json(model), syntax.render(f))
 
 
 @pytest.mark.parametrize("name", ["WK", "WMC"])
