@@ -46,9 +46,8 @@ positions by contraction, as in Dbox from A |- to []A |-.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import (TYPE_CHECKING, Callable, FrozenSet, Iterator, List,
-                    Optional, Tuple)
+                    NamedTuple, Optional, Tuple)
 
 from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent
 from .syntax import AND, ATOM, BOT, BOX, DIA, IMP, OR, Formula, bot
@@ -57,8 +56,7 @@ if TYPE_CHECKING:
     from .logics import Logic
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
     rule: str
     conclusion: Sequent
     premises: Tuple[Sequent, ...]
@@ -95,8 +93,7 @@ class Shape:
 Builder = Callable[[Shape], Iterator[Tuple[list, tuple]]]
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     name: str
     build: Builder
     # The modes in which the rule is height-preserving invertible, so that
@@ -343,12 +340,11 @@ def constructive(rule: Rule) -> Tuple[Rule, ...]:
     """The constructive rules derived from the classical modal rule."""
     antecedent_name = _SPLIT.get(rule.name)
     if antecedent_name:
-        return (replace(rule, name="i" + rule.name,
-                        build=_with_succedent(rule.build)),
-                replace(rule, name=antecedent_name,
-                        build=_antecedent_only(rule.build)))
-    return _CONSTRUCTIVE.get(rule.name,
-                             (replace(rule, name="i" + rule.name),))
+        return (rule._replace(name="i" + rule.name,
+                              build=_with_succedent(rule.build)),
+                rule._replace(name=antecedent_name,
+                              build=_antecedent_only(rule.build)))
+    return _CONSTRUCTIVE.get(rule.name, (rule._replace(name="i" + rule.name),))
 
 
 _MODAL = (

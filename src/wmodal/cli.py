@@ -15,7 +15,9 @@ import json
 import os
 import sys
 
-from . import interpolation, prover, semantics, suites, syntax
+# `interpolation`, `semantics` and `suites` are imported by the commands
+# that run them, so that a one-shot call loads only what it runs.
+from . import prover, syntax
 from .logics import LOGICS, get_logic
 from .prover import Budget, BudgetExceeded
 from .sequents import CONSTRUCTIVE, Sequent, parse_sequent
@@ -104,6 +106,7 @@ def cmd_decide(args, out):
 
 
 def cmd_interpolate(args, out):
+    from . import interpolation
     logic = get_logic(args.logic)
     a, b = syntax.parse_all(args.a, args.b)
     try:
@@ -124,6 +127,7 @@ def cmd_interpolate(args, out):
 
 
 def cmd_countermodel(args, out):
+    from . import semantics
     logic = get_logic(args.logic)
     f = syntax.parse(args.input)
     found = semantics.enumerate_countermodel(
@@ -142,6 +146,7 @@ def cmd_countermodel(args, out):
 
 
 def cmd_check_model(args, out):
+    from . import semantics
     logic = get_logic(args.logic)
     with open(args.model_file) as fh:
         model = semantics.model_from_json(fh.read())
@@ -169,6 +174,7 @@ def cmd_check_model(args, out):
 
 
 def cmd_selftest(args, out):
+    from . import suites
     rows, ok = suites.selftest(_budget(args))
     for r in rows:
         out.emit({"command": "selftest", "logic": r.logic, "schema": r.schema,
@@ -182,6 +188,7 @@ def cmd_selftest(args, out):
 
 
 def cmd_fuzz(args, out):
+    from . import suites
     violations = suites.fuzz(args.seed, args.count,
                              [args.logic] if args.logic else None)
     for v in violations:

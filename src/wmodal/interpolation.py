@@ -18,8 +18,7 @@ a wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, NamedTuple, Tuple
 
 from . import prover, syntax
 from .calculus import RULES
@@ -39,14 +38,12 @@ class CertificateError(RuntimeError):
     bug in the case table, not bad input."""
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     left: Tuple[Formula, ...]
     right: Tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
-class InterpolationResult:
+class InterpolationResult(NamedTuple):
     interpolant: Formula
     left_certificate: Derivation
     right_certificate: Derivation

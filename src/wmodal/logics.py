@@ -10,8 +10,7 @@ The constructive rule sets are the classical ones under
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 from . import calculus, syntax
 from .syntax import Formula, box, bot, conj, dia, disj, imp, neg, top
@@ -132,8 +131,7 @@ _CLASSICAL_MODAL = {
 }
 
 
-@dataclass(frozen=True)
-class Logic:
+class Logic(NamedTuple):
     name: str
     base: str              # point in the 14-element lattice
     mode: str              # classical | constructive

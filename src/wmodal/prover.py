@@ -14,8 +14,7 @@ from __future__ import annotations
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Set, Tuple
 
 from . import calculus
 from .calculus import RULES, RuleInstance, Shape
@@ -29,17 +28,22 @@ DEFAULT_MAX_NODES = 1_000_000
 DEFAULT_TIMEOUT_SECS = 30.0
 
 
-@dataclass(frozen=True)
-class Budget:
+class _Budget(NamedTuple):
     max_nodes: int = DEFAULT_MAX_NODES
     timeout_secs: float = DEFAULT_TIMEOUT_SECS
 
-    def __post_init__(self):
+
+class Budget(_Budget):
+    __slots__ = ()
+
+    def __new__(cls, max_nodes: int = DEFAULT_MAX_NODES,
+                timeout_secs: float = DEFAULT_TIMEOUT_SECS):
         # `not x >= 0` also rejects NaN
-        for name in ("max_nodes", "timeout_secs"):
-            if not getattr(self, name) >= 0:
-                raise ValueError("%s must be 0 or more: %r"
-                                 % (name, getattr(self, name)))
+        for name, value in (("max_nodes", max_nodes),
+                            ("timeout_secs", timeout_secs)):
+            if not value >= 0:
+                raise ValueError("%s must be 0 or more: %r" % (name, value))
+        return super().__new__(cls, max_nodes, timeout_secs)
 
 
 class BudgetExceeded(Exception):
@@ -122,15 +126,13 @@ class Derivation:
         return "\n".join(lines)
 
 
-@dataclass
-class SearchStats:
+class SearchStats(NamedTuple):
     nodes: int = 0
     loop_blocks: int = 0
     elapsed: float = 0.0
 
 
-@dataclass
-class ProofResult:
+class ProofResult(NamedTuple):
     proved: bool
     derivation: Optional[Derivation]
     stats: SearchStats

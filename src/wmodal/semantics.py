@@ -32,11 +32,11 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 import time
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .logics import Logic
 from .prover import Budget, BudgetExceeded
@@ -76,8 +76,7 @@ def _intransitive(succ) -> Optional[Tuple[int, int]]:
     return None
 
 
-@dataclass(frozen=True)
-class NeighModel:
+class NeighModel(NamedTuple):
     """Classical neighbourhood model: a constructive one on the discrete
     order."""
     n: int
@@ -95,8 +94,7 @@ class NeighModel:
         return _discrete(self.n)
 
 
-@dataclass(frozen=True)
-class ConstructiveNeighModel:
+class ConstructiveNeighModel(NamedTuple):
     """Constructive neighbourhood model: preorder + hereditary valuation."""
     n: int
     succ: Tuple[int, ...]                # succ[w] = mask of v with w <= v
@@ -247,8 +245,7 @@ def valid_in_model(model, f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 # Conditions
 
-@dataclass
-class ConditionReport:
+class ConditionReport(NamedTuple):
     required: Tuple[str, ...]
     status: Dict[str, bool]
     witnesses: Dict[str, tuple]
@@ -557,9 +554,32 @@ def _world_set(ws, n: int, what: str) -> int:
     return _mask(ws)
 
 
+# A model document nests no deeper than neighbourhoods -> world -> family
+# -> set.
+_MAX_NESTING = 4
+_JSON_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[\[{]|[\]}]')
+
+
+def _check_nesting(text: str):
+    """ValueError when text nests arrays and objects deeper than a model
+    document; `json.loads` would recurse once per level, and under the
+    recursion limit `prover` sets a deep document overflows the C stack."""
+    depth = 0
+    for token in _JSON_TOKEN.finditer(text):
+        c = token[0]
+        if c == "[" or c == "{":
+            depth += 1
+            if depth > _MAX_NESTING:
+                raise ValueError("document nests deeper than %d levels"
+                                 % _MAX_NESTING)
+        elif c == "]" or c == "}":
+            depth -= 1
+
+
 def model_from_json(text: str):
     """The model of a document model_to_json wrote; ValueError for any
     document that is not one."""
+    _check_nesting(text)
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise ValueError("not a version 1 model document")

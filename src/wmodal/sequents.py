@@ -11,7 +11,6 @@ search caches, loop checks, step checking and certificates rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Tuple
 
@@ -23,6 +22,7 @@ CONSTRUCTIVE = "constructive"
 
 
 _order = attrgetter("key")
+_set = object.__setattr__
 
 
 def norm_side(fs: Iterable[Formula]) -> Tuple[Formula, ...]:
@@ -34,29 +34,49 @@ def norm_side(fs: Iterable[Formula]) -> Tuple[Formula, ...]:
     return tuple(sorted(set(fs), key=_order))
 
 
-@dataclass(frozen=True, slots=True)
 class Sequent:
     """ant |- suc in mode.  Either side may be given as any iterable of
-    formulas; it is stored normalized by `norm_side`."""
+    formulas; it is stored normalized by `norm_side`.  Immutable; equal
+    only to a `Sequent` with the same sides and mode."""
 
-    ant: Tuple[Formula, ...]
-    suc: Tuple[Formula, ...]
-    mode: str
     # Search hashes every sequent it meets several times; hash it once.
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("ant", "suc", "mode", "_hash")
 
-    def __post_init__(self):
-        if self.mode not in (CLASSICAL, CONSTRUCTIVE):
-            raise ValueError("unknown mode %r" % self.mode)
-        ant, suc = norm_side(self.ant), norm_side(self.suc)
-        if self.mode == CONSTRUCTIVE and len(suc) > 1:
+    def __init__(self, ant: Iterable[Formula], suc: Iterable[Formula],
+                 mode: str):
+        if mode not in (CLASSICAL, CONSTRUCTIVE):
+            raise ValueError("unknown mode %r" % mode)
+        ant, suc = norm_side(ant), norm_side(suc)
+        if mode == CONSTRUCTIVE and len(suc) > 1:
             raise ValueError("constructive sequents have at most one succedent")
-        object.__setattr__(self, "ant", ant)
-        object.__setattr__(self, "suc", suc)
-        object.__setattr__(self, "_hash", hash((ant, suc, self.mode)))
+        _set(self, "ant", ant)
+        _set(self, "suc", suc)
+        _set(self, "mode", mode)
+        _set(self, "_hash", hash((ant, suc, mode)))
+
+    def __setattr__(self, name, value=None):
+        # Imported here: `dataclasses` loads `inspect` and `ast`, which
+        # would cost every one-shot CLI call more than `sequents` itself.
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.ant == other.ant
+                and self.suc == other.suc and self.mode == other.mode)
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return Sequent, (self.ant, self.suc, self.mode)
+
+    def __repr__(self):
+        return "Sequent(ant=%r, suc=%r, mode=%r)" % (self.ant, self.suc,
+                                                     self.mode)
 
     def normalized(self) -> "Sequent":
         """The sequent itself: its sides are normalized when it is built."""

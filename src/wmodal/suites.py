@@ -8,8 +8,7 @@ each record carries enough detail (logic, seed, formula) to reproduce.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import interpolation, prover, sampling, semantics, syntax
 from .logics import (AXIOM_SCHEMAS, BASE_NAMES, LOGICS, Logic,
@@ -22,8 +21,7 @@ from .syntax import atom, parse
 # ---------------------------------------------------------------------------
 # Self-test: axiom matrix + fixed negative suite.
 
-@dataclass
-class MatrixRow:
+class MatrixRow(NamedTuple):
     logic: str
     schema: str
     expected: bool

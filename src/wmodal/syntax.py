@@ -58,6 +58,10 @@ class Formula:
     def __repr__(self):
         return "Formula(%s)" % render(self)
 
+    def __reduce__(self):
+        # Unpickling interns, so equality stays identity.
+        return _mk, (self.kind, self.left, self.right, self.index)
+
 
 # An order key is (complexity, rank, the children's keys); atoms rank 0
 # and add their index, bot ranks 1.

@@ -96,6 +96,69 @@ def test_rule_table_matches_catalogue():
     assert used == set(names)
 
 
+# name, modes in which it is invertible, contextual, needs on the
+# antecedent and on the succedent; - is none.
+RULE_TABLE = """
+Lbot       classical,constructive yes   bot      -
+init       classical,constructive yes   atom     atom
+Land       classical,constructive yes   and      -
+Lor        classical,constructive yes   or       -
+Limp       classical              yes   imp      -
+Rand       classical,constructive yes   -        and
+Ror        classical              yes   -        or
+Rimp       classical,constructive yes   -        imp
+Tbox       classical,constructive yes   box      -
+iTbox      classical,constructive yes   box      -
+Tdia       classical,constructive yes   -        dia
+iTdia      -                      yes   -        dia
+Mbox       -                      no    box      box
+iMbox      -                      no    box      box
+Mdia       -                      no    dia      dia
+iMdia      -                      no    dia      dia
+D          -                      no    box      dia
+iD         -                      no    box      dia
+dualandM   -                      no    box,dia  -
+idualandM  -                      no    box,dia  -
+dualorM    -                      no    -        box,dia
+Dbox       -                      no    box      -
+iDbox      -                      no    box      -
+Ddia       -                      no    -        dia
+Nbox       -                      no    -        box
+iNbox      -                      no    -        box
+Ndia       -                      no    dia      -
+iNdia      -                      no    dia      -
+Pbox       -                      no    box      -
+iPbox      -                      no    box      -
+Pdia       -                      no    -        dia
+iPdia      -                      no    -        dia
+Kbox       -                      no    -        box
+iKbox      -                      no    -        box
+Cbox       -                      no    box      box
+iCbox      -                      no    box      box
+Kdia       -                      no    dia      -
+iKdia      -                      no    dia      -
+idualandK  -                      no    dia      -
+Cdia       -                      no    dia      dia
+iCdia      -                      no    dia      dia
+dualandC   -                      no    box,dia  -
+idualandC  -                      no    box,dia  -
+dualorC    -                      no    -        box,dia
+CD         -                      no    -        -
+iCD        -                      no    -        -
+iCDbox     -                      no    -        -
+"""
+
+
+def test_rule_table_fields():
+    def cell(xs):
+        return ",".join(xs) or "-"
+
+    assert [(r.name, cell(r.invertible), "yes" if r.contextual else "no",
+             cell(sorted(r.needs[0])), cell(sorted(r.needs[1])))
+            for r in calculus.RULES.values()] == [
+        tuple(line.split()) for line in RULE_TABLE.strip().splitlines()]
+
+
 # Expected status of each schema, in sorted schema order (C_box C_dia D
 # K_box K_dia N_box N_dia P_box P_dia T_box T_dia dual dual_and dual_or):
 # 1 a theorem, . not.

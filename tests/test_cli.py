@@ -1,5 +1,6 @@
 """Command-line interface: exit codes and structured output."""
 
+import ast
 import json
 import os
 import resource
@@ -193,6 +194,16 @@ def test_deep_input_exit_70_without_traceback():
     assert "Traceback" not in err and err.startswith("internal error: ")
 
 
+def test_check_model_deep_document_exit_64(tmp_path):
+    # `json.loads` recurses once per level, and under the recursion limit
+    # `prover` sets, 200,000 levels overflowed the C stack (SIGSEGV).
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, _, err = cli_limited("check-model", "--logic", "M", str(path))
+    assert code == 64
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_unexpected_error_exit_70(capsys, monkeypatch):
     def boom(*args):
         raise RuntimeError("boom")
@@ -344,3 +355,50 @@ def test_budget_exit_two(capsys):
         assert code == 2
     finally:
         prover.clear_caches()
+
+
+# ---------------------------------------------------------------------------
+# import paths of one-shot calls
+
+_LOADED = "import sys%s; print(sorted(sys.modules))"
+
+
+def loaded_modules(*argv):
+    """The modules a fresh interpreter holds after running argv through
+    `cli.main`, beyond those of a bare interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def modules(code, *args):
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+        return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+    bare = modules(_LOADED % "")
+    return modules(_LOADED % ", wmodal.cli as c; c.main(sys.argv[1:])",
+                   *argv) - bare
+
+
+_COMMAND_MODULES = {"semantics", "interpolation", "suites", "sampling"}
+
+
+@pytest.mark.parametrize("argv,runs", [
+    (["decide", "--logic", "WK", "[]p1 -> []p1"], set()),
+    (["prove", "--logic", "WK", "[](p1 -> p2) -> ([]p1 -> []p2)"], set()),
+    (["interpolate", "--logic", "WK", "p1 & p2", "p1 | p3"],
+     {"interpolation"}),
+    (["countermodel", "--logic", "WK", "<>p1", "--max-worlds", "2"],
+     {"semantics"}),
+    (["check-model", "--logic", "M", "MODEL", "[]p1"], {"semantics"}),
+])
+def test_command_loads_only_the_modules_it_runs(tmp_path, argv, runs):
+    model = tmp_path / "model.json"
+    model.write_text(semantics.model_to_json(
+        semantics.NeighModel(1, ((),), ())))
+    argv = [str(model) if a == "MODEL" else a for a in argv]
+    loaded = loaded_modules(*argv)
+    assert "wmodal.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+    unused = {"wmodal." + m for m in _COMMAND_MODULES - runs}
+    assert not loaded & unused
+

@@ -371,7 +371,8 @@ def test_lanes_agree_with_recursive_forcing():
         for c, choice in enumerate(sl.choices):
             model = semantics._assemble(logic, n, succ, prefix + choice,
                                         tuple(zip(atoms, vals)))
-            assert m >> c * n & full == reference_extension(model, f), \
+            lane = m >> c * n & full
+            assert lane == reference_extension(model, f), \
                 (model_to_json(model), syntax.render(f))
 
 
@@ -448,6 +449,16 @@ def test_json_roundtrip_bit_exact_text():
     m = random_model(get_logic("WM"), 3, seed=5)
     text = model_to_json(m)
     assert model_to_json(model_from_json(text)) == text
+
+
+def test_json_nesting_limit_skips_strings():
+    m = random_model(get_logic("WMN"), 3, seed=2)
+    text = model_to_json(m)
+    # Brackets and escaped quotes inside a string do not nest.
+    noted = text[:-1] + ', "note": "[[[[[ \\" {{{{"}'
+    assert model_from_json(noted) == m
+    with pytest.raises(ValueError, match="nests deeper than 4 levels"):
+        model_from_json('{"version": 1, "worlds": [[[[0]]]]}')
 
 
 # ---------------------------------------------------------------------------

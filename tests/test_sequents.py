@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -147,6 +148,18 @@ def test_sequent_contract():
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.ant = ()
     assert not hasattr(a, "__dict__")
+
+
+def test_sequent_is_a_record_not_a_tuple():
+    a = Sequent((p2, p1, p1), (q,), CONSTRUCTIVE)
+    b = Sequent((p1, p2), (q, q), CONSTRUCTIVE)
+    assert a == b and hash(a) == hash(b)
+    assert a != (a.ant, a.suc, a.mode) and (a.ant, a.suc, a.mode) != a
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del a.mode
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        c = pickle.loads(pickle.dumps(a, protocol))
+        assert c == a and hash(c) == hash(a) and c.ant[0] is p1
 
 
 # ---------------------------------------------------------------------------
