@@ -71,6 +71,23 @@ def test_search_results_of_size5_space_unchanged():
     assert h.hexdigest() == SEARCH_DIGEST
 
 
+# The same loop, hashing the verdicts alone: a change to what search
+# caches or shares moves the node counts and proofs above, never these.
+VERDICT_DIGEST = "8593680532e3f004760e3abd560ada7d4be5c8f8fca12d9d7e8d6942a14968b5"
+
+
+def test_verdicts_of_size5_space_unchanged():
+    fs = sampling.formulas_up_to_size(5, 2)
+    h = hashlib.sha256()
+    prover.clear_caches()
+    for logic in LOGICS.values():
+        for f in fs:
+            res = prove(logic, prover.goal(logic, f))
+            h.update(("%s %d\n" % (logic.name, res.proved)).encode())
+    prover.clear_caches()
+    assert h.hexdigest() == VERDICT_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # decide
 
