@@ -9,7 +9,9 @@ per side (`Rule.needs`: Mbox needs a [] on both sides, Rimp a -> in the
 succedent, CD none).  That is a necessary condition only: a conclusion
 without those kinds has no instance, so search and `instances` skip the
 rule there without starting its builder, but one with them may still
-have none, which the builder decides.
+have none, which the builder decides.  `fitting` gives the rules that
+fit a conclusion as a set of `BITS`, looked up by its kinds, which is
+how search finds them.
 
 The constructive calculi WM ... WKT are the single-succedent restriction
 of the classical calculi M ... KT, and their modal rules are derived
@@ -46,8 +48,9 @@ positions by contraction, as in Dbox from A |- to []A |-.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Callable, FrozenSet, Iterator, List,
-                    NamedTuple, Optional, Tuple)
+from operator import attrgetter
+from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable,
+                    Iterator, List, NamedTuple, Optional, Tuple)
 
 from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent
 from .syntax import AND, ATOM, BOT, BOX, DIA, IMP, OR, Formula, bot
@@ -63,9 +66,12 @@ class RuleInstance(NamedTuple):
     principal: Tuple[Formula, ...]
 
 
+_kind = attrgetter("kind")
+
+
 class Shape:
     """A sequent classified once for every rule: the formula kinds on each
-    side, and its boxes and diamonds."""
+    side, as frozensets, and its boxes and diamonds."""
 
     __slots__ = ("mode", "ant", "suc", "ant_set", "ant_kinds", "suc_kinds",
                  "boxes", "dias", "sboxes", "sdias", "box_subs", "sdia_subs")
@@ -73,8 +79,8 @@ class Shape:
     def __init__(self, mode: str, ant, suc):
         self.mode, self.ant, self.suc = mode, ant, suc
         self.ant_set = set(ant)
-        self.ant_kinds = ak = {f.kind for f in ant}
-        self.suc_kinds = sk = {f.kind for f in suc}
+        self.ant_kinds = ak = frozenset(map(_kind, ant))
+        self.suc_kinds = sk = frozenset(map(_kind, suc))
         self.boxes = [f for f in ant if f.kind == BOX] if BOX in ak else []
         self.dias = [f for f in ant if f.kind == DIA] if DIA in ak else []
         self.sboxes = [f for f in suc if f.kind == BOX] if BOX in sk else []
@@ -386,6 +392,38 @@ _TABLE = (
     Rule("Rimp", _rimp, _ALL, contextual=True, needs=_needs(suc=[IMP])),
 ) + tuple(r for rule in _MODAL for r in (rule,) + constructive(rule))
 RULES = {r.name: r for r in _TABLE}
+# A bit for each rule, so that a set of rules is an int.
+BITS = {name: 1 << i for i, name in enumerate(RULES)}
+
+
+def mask(names: Iterable[str]) -> int:
+    """The set of the named rules as an int of their `BITS`."""
+    m = 0
+    for name in names:
+        m |= BITS[name]
+    return m
+
+
+# The rules whose needs on the antecedent, and on the succedent, a set of
+# kinds holds, by that set: at most 2**7 entries each, filled as search
+# meets them.
+_ANT_MEETS: Dict[FrozenSet[str], int] = {}
+_SUC_MEETS: Dict[FrozenSet[str], int] = {}
+
+
+def _meets(side: int, kinds: FrozenSet[str]) -> int:
+    return mask(r.name for r in RULES.values() if r.needs[side] <= kinds)
+
+
+def fitting(c: Shape) -> int:
+    """The rules of the table that fit c (`Rule.fits`), as a `mask`."""
+    a = _ANT_MEETS.get(c.ant_kinds)
+    if a is None:
+        a = _ANT_MEETS[c.ant_kinds] = _meets(0, c.ant_kinds)
+    s = _SUC_MEETS.get(c.suc_kinds)
+    if s is None:
+        s = _SUC_MEETS[c.suc_kinds] = _meets(1, c.suc_kinds)
+    return a & s
 
 
 def instances(rule: Rule, c: Shape, seq: Optional[Sequent] = None):

@@ -3,10 +3,28 @@
 The engine explores set-normalized sequents depth-first.  Invertible
 rules are applied eagerly with commitment; the remaining rules are
 choice points explored with backtracking.  Loops are cut by blocking any
-rule instance whose premise already occurs on the current branch; only
-failures established without such blocks are memoized globally, so the
-failure cache never hides a derivation that a different branch context
-would permit.
+rule instance whose premise already occurs on the current branch.  The
+rules tried at a node are looked up by the formula kinds of its sides
+(`calculus.fitting`).
+
+The 14 logics of a mode share one `Store` of results, sets of rules
+being ints of `calculus.BITS`:
+
+- a derivation records the rules it uses, and serves every logic that
+  has them all;
+- a pure failure, one established without any ancestor block, found by
+  logic L records F, every rule that fits some node of the failed
+  subtree, and C, the invertible rules L committed to.  It serves L''
+  when rules(L'') & F <= rules(L) and C <= rules(L'').
+
+By induction over the failed subtree, no node of it is derivable in
+L'': where L did not commit, the last rule of an L'' derivation fits the
+node, so L has it and tried each of its instances, finding a failed
+premise in each; where L committed, the rule is invertible in L'' too,
+so the failed premise would be derivable.  A failure that reuses another
+takes the union of their F and C, and a derivation built on another the
+union of their rules, so reuse composes.  A failure below a loop block
+is not stored: another branch context may permit a derivation there.
 """
 
 from __future__ import annotations
@@ -14,7 +32,7 @@ from __future__ import annotations
 import sys
 import time
 from collections import Counter
-from typing import Dict, Iterable, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from . import calculus
 from .calculus import RULES, RuleInstance, Shape
@@ -57,9 +75,11 @@ class BudgetExceeded(Exception):
 
 class Derivation:
     """A derivation tree; its conclusions are `Sequent`s, whose sides are
-    normalized when they are built."""
+    normalized when they are built.  mask holds the bit
+    (`calculus.BITS`) of every rule it uses."""
 
-    __slots__ = ("rule", "conclusion", "principal", "children", "height")
+    __slots__ = ("rule", "conclusion", "principal", "children", "height",
+                 "mask")
 
     def __init__(self, rule: str, conclusion: Sequent,
                  principal: Tuple[Formula, ...] = (),
@@ -68,7 +88,12 @@ class Derivation:
         self.conclusion = conclusion
         self.principal = principal
         self.children = children
-        self.height = 1 + max((c.height for c in children), default=-1)
+        height, mask = -1, calculus.BITS.get(rule, 0)
+        for c in children:
+            height = max(height, c.height)
+            mask |= c.mask
+        self.height = 1 + height
+        self.mask = mask
 
     def __repr__(self):
         return "Derivation(%s; %s)" % (self.rule, self.conclusion)
@@ -138,22 +163,71 @@ class ProofResult(NamedTuple):
     stats: SearchStats
 
 
-class Engine:
-    """Per-logic search engine with persistent success/failure caches."""
+# A pure failure, as the store keeps it: (F, X, C), where F holds the rules
+# that fit some node of the failed subtree, X those of F that the failing
+# logic lacks, and C the invertible rules it committed to.
+Failure = Tuple[int, int, int]
 
-    def __init__(self, logic: Logic):
+
+class Store:
+    """The derivations and pure failures that the logics of one mode found,
+    by conclusion: each a tuple of the entries found for it."""
+
+    def __init__(self):
+        self.proved: Dict[Sequent, Tuple[Derivation, ...]] = {}
+        self.failed: Dict[Sequent, Tuple[Failure, ...]] = {}
+        # Few distinct failures and failure tuples occur: keep one of each.
+        self._shared: Dict[tuple, tuple] = {}
+
+    def share(self, value: tuple) -> tuple:
+        return self._shared.setdefault(value, value)
+
+    def clear(self):
+        self.proved.clear()
+        self.failed.clear()
+        self._shared.clear()
+
+
+class _Usable:
+    """The entries of a store's table that one logic can use; supports
+    len() and `in`."""
+
+    def __init__(self, table: dict, usable):
+        self._table = table
+        self._usable = usable
+
+    def __contains__(self, seq) -> bool:
+        return any(map(self._usable, self._table.get(seq, ())))
+
+    def __len__(self) -> int:
+        usable = self._usable
+        return sum(any(map(usable, es)) for es in self._table.values())
+
+
+class Engine:
+    """Search engine of one logic over the store of its mode."""
+
+    def __init__(self, logic: Logic, store: Store):
         self.logic = logic
+        self.store = store
         mode = logic.mode
-        # (rule, commit) in the order search tries them: the invertible
-        # rules in table order, closure first, committing to their first
-        # unblocked instance; then the others, backtracking.
-        self.rules = (
+        # (rule, bit, commit) in the order search tries them: the
+        # invertible rules in table order, closure first, committing to
+        # their first unblocked instance; then the others, backtracking.
+        rules = (
             [(r, True) for r in RULES.values()
              if r.name in logic.rules and mode in r.invertible]
             + [(RULES[name], False) for name in logic.rules
                if mode not in RULES[name].invertible])
-        self.proved: Dict[Sequent, Derivation] = {}
-        self.failed: Set[Sequent] = set()
+        self.rules = [(r, calculus.BITS[r.name], commit)
+                      for r, commit in rules]
+        self.mask = mask = calculus.mask(logic.rules)
+        self.proved = _Usable(store.proved, lambda d: not d.mask & ~mask)
+        self.failed = _Usable(
+            store.failed, lambda e: not (e[1] & mask or e[2] & ~mask))
+        # `_steps` by the rules of this logic that fit a conclusion, filled
+        # as search meets them; it holds no search result.
+        self._table: Dict[int, tuple] = {}
 
     # -- public -----------------------------------------------------------
     def prove(self, seq: Sequent, budget: Budget = Budget()) -> ProofResult:
@@ -180,16 +254,18 @@ class Engine:
                                  time.monotonic() - self._start)
 
     def _search(self, seq: Sequent, anc: set):
-        """Returns (derivation or None, pure).
-
-        pure means the failure (if any) was established without any
-        ancestor block, so it may be cached unconditionally.
-        """
-        hit = self.proved.get(seq)
-        if hit is not None:
-            return hit, True
-        if seq in self.failed:
-            return None, True
+        """Returns (derivation, None), or (None, failure) for a pure
+        failure, one established without any ancestor block, which may
+        be stored, or (None, None) for any other failure."""
+        # A derivation serves when this logic has all its rules; a failure
+        # when this logic has none of X and all of C.
+        mask = self.mask
+        for d in self.store.proved.get(seq, ()):
+            if not d.mask & ~mask:
+                return d, None
+        for e in self.store.failed.get(seq, ()):
+            if not (e[1] & mask or e[2] & ~mask):
+                return None, e
         self._tick()
         anc.add(seq)
         try:
@@ -197,54 +273,71 @@ class Engine:
         finally:
             anc.discard(seq)
 
+    def _steps(self, fits: int) -> tuple:
+        """This logic's (rule, bit, commit) whose rule is in fits."""
+        fits &= self.mask
+        steps = self._table.get(fits)
+        if steps is None:
+            steps = self._table[fits] = tuple(s for s in self.rules
+                                              if s[1] & fits)
+        return steps
+
     def _expand(self, seq: Sequent, anc: set):
         c = Shape(seq.mode, seq.ant, seq.suc)
-        ant_kinds, suc_kinds = c.ant_kinds, c.suc_kinds
+        fits = calculus.fitting(c)
+        # The union of the failed premises' F and C, for a pure failure.
+        f_all, c_all = fits, 0
         pure = True
-        for rule, commit in self.rules:
-            ant_needs, suc_needs = rule.needs
-            if not (ant_needs <= ant_kinds and suc_needs <= suc_kinds):
-                # No principal formula here, so no instance: `Rule.fits`,
-                # inlined in this loop over every rule at every node.
-                continue
+        for rule, bit, commit in self._steps(fits):
             for prems, principal in calculus.instances(rule, c, seq):
                 if any(p in anc for p in prems):
                     pure = False
                     self._blocks += 1
                     continue
                 kids = []
-                kids_pure = True
                 for p in prems:
-                    d, p_pure = self._search(p, anc)
-                    kids_pure = kids_pure and p_pure
+                    d, e = self._search(p, anc)
                     if d is None:
                         break
                     kids.append(d)
                 else:
                     d = Derivation(rule.name, seq, principal, tuple(kids))
-                    self.proved[seq] = d
-                    return d, True
+                    proved = self.store.proved
+                    proved[seq] = proved.get(seq, ()) + (d,)
+                    return d, None
                 if commit:
                     # Committing to any unblocked instance of an invertible
                     # rule is complete, and a pure failure of its premises
                     # refutes the conclusion regardless of blocks among
                     # skipped instances.
-                    if kids_pure:
-                        self.failed.add(seq)
-                    return None, kids_pure
-                pure = pure and kids_pure
+                    if e is None:
+                        return None, None
+                    return None, self._fail(seq, fits | e[0], bit | e[2])
+                if e is None:
+                    pure = False
+                elif pure:
+                    f_all |= e[0]
+                    c_all |= e[2]
         if pure:
-            self.failed.add(seq)
-        return None, pure
+            return None, self._fail(seq, f_all, c_all)
+        return None, None
+
+    def _fail(self, seq: Sequent, fitted: int, committed: int) -> Failure:
+        store = self.store
+        e = store.share((fitted, fitted & ~self.mask, committed))
+        store.failed[seq] = store.share(store.failed.get(seq, ()) + (e,))
+        return e
 
 
+_stores: Dict[str, Store] = {}
 _engines: Dict[str, Engine] = {}
 
 
 def engine_for(logic: Logic) -> Engine:
     eng = _engines.get(logic.name)
     if eng is None:
-        eng = _engines[logic.name] = Engine(logic)
+        store = _stores.setdefault(logic.mode, Store())
+        eng = _engines[logic.name] = Engine(logic, store)
     return eng
 
 
@@ -289,4 +382,6 @@ def check(logic: Logic, d: Derivation) -> bool:
 
 
 def clear_caches():
-    _engines.clear()
+    """Forget every derivation and failure found so far."""
+    for store in _stores.values():
+        store.clear()

@@ -48,10 +48,12 @@ def test_classical_k_proves_dual_or():
 
 
 # Searching every formula of size <= 5 over p1, p2 and bot (1,416) in all
-# 28 logics in turn, from cleared caches: the sha256 of each verdict, node
+# 28 logics in turn, from cleared caches, each logic reusing what the
+# logics before it in its mode stored: the sha256 of each verdict, node
 # and loop-block count and each proof's (rule, conclusion) steps.  A change
-# to rule matching or search that keeps the calculi keeps this digest.
-SEARCH_DIGEST = "5dfebe4ddb665e02fd390075193f48b5a2a2b71d541c3e23f540612fd5145939"
+# to rule matching or search that keeps the calculi and what is stored
+# keeps this digest.
+SEARCH_DIGEST = "038525823c32e682078105030b8e9a071b65ae220243ac917c6aad34f4978758"
 
 
 def test_search_results_of_size5_space_unchanged():
@@ -282,6 +284,48 @@ def test_verdicts_independent_of_cache_order():
         prover.clear_caches()
 
 
+def test_shared_store_keeps_each_logics_verdicts():
+    # Formula-major, each formula in all 28 logics in turn, the logics of
+    # a mode reuse one another's proofs and failures; alone from cleared
+    # caches, each logic reuses only its own.  The verdicts agree, and
+    # every proof checks in the logic that returned it.
+    space = sampling.formulas_up_to_size(4, num_atoms=2)
+    try:
+        alone = {}
+        for name, logic in LOGICS.items():
+            prover.clear_caches()
+            for f in space:
+                alone[name, f] = decide(logic, f)
+        prover.clear_caches()
+        for f in space:
+            for name, logic in LOGICS.items():
+                res = prove(logic, prover.goal(logic, f))
+                assert res.proved == alone[name, f], (name, f)
+                if res.proved:
+                    assert check(logic, res.derivation), (name, f)
+    finally:
+        prover.clear_caches()
+
+
+def test_cache_sizes_count_the_entries_each_logic_can_use():
+    m, mn = get_logic("M"), get_logic("MN")
+    seq = prover.goal(m, box(imp(bot, bot)))
+    prover.clear_caches()
+    try:
+        # M has no rule for |- []top; MN proves it by Nbox, Rimp and Lbot.
+        assert not prove(m, seq).proved
+        assert prove(mn, seq).proved
+        em, emn = prover.engine_for(m), prover.engine_for(mn)
+        assert seq in em.failed and seq not in emn.failed
+        assert seq in emn.proved and seq not in em.proved
+        assert (len(em.proved), len(em.failed)) == (2, 1)
+        assert (len(emn.proved), len(emn.failed)) == (3, 0)
+        prover.clear_caches()
+        assert len(em.proved) == len(emn.failed) == 0
+    finally:
+        prover.clear_caches()
+
+
 def test_mode_mismatch_rejected():
     with pytest.raises(ValueError):
         prove(get_logic("K"), Sequent((), (p,), CONSTRUCTIVE))
@@ -317,3 +361,26 @@ def test_contraction_probe_proves_a_doubled_conjunction(monkeypatch):
 def test_disjunction_property_spot():
     from wmodal import suites
     assert suites.disjunction_suite(get_logic("WM"), 15, seed=5) == []
+
+
+def test_inclusion_suite_decides_each_target_from_cleared_caches(
+        monkeypatch):
+    # On a nested edge such as M -> MN the source's proof of the sampled
+    # theorem would serve the target from the shared store.
+    from wmodal import suites
+    stored = []
+
+    class Prover:
+        def __getattr__(self, name):
+            return getattr(prover, name)
+
+        def decide(self, logic, f, *args):
+            stored.append(len(prover.engine_for(logic).proved))
+            return prover.decide(logic, f, *args)
+
+    monkeypatch.setattr(suites, "prover", Prover())
+    try:
+        assert suites.inclusion_suite("classical", 1, seed=3) == []
+    finally:
+        prover.clear_caches()
+    assert len(stored) == 22 and not any(stored)
