@@ -7,11 +7,11 @@ rule's schema with that conclusion: premises and principal formulas.
 Each rule also declares the formula kinds its principal formulas have,
 per side (`Rule.needs`: Mbox needs a [] on both sides, Rimp a -> in the
 succedent, CD none).  That is a necessary condition only: a conclusion
-without those kinds has no instance, so search and `instances` skip the
-rule there without starting its builder, but one with them may still
-have none, which the builder decides.  `fitting` gives the rules that
-fit a conclusion as a set of `BITS`, looked up by its kinds, which is
-how search finds them.
+without those kinds has no instance, so search and
+`backward_applications` skip the rule there without starting its
+builder, but one with them may still have none, which the builder
+decides.  `fitting` gives the rules that fit a conclusion, those whose
+needs it holds, as a set of `BITS` looked up by its kinds.
 
 The constructive calculi WM ... WKT are the single-succedent restriction
 of the classical calculi M ... KT, and their modal rules are derived
@@ -110,10 +110,6 @@ class Rule(NamedTuple):
     # The formula kinds, on the antecedent and on the succedent, that the
     # conclusion of every instance with a principal formula holds.
     needs: Tuple[FrozenSet[str], FrozenSet[str]] = (frozenset(), frozenset())
-
-    def fits(self, c: Shape) -> bool:
-        """Whether c holds the kinds the rule needs."""
-        return self.needs[0] <= c.ant_kinds and self.needs[1] <= c.suc_kinds
 
 
 def _needs(ant=(), suc=()):
@@ -416,7 +412,7 @@ def _meets(side: int, kinds: FrozenSet[str]) -> int:
 
 
 def fitting(c: Shape) -> int:
-    """The rules of the table that fit c (`Rule.fits`), as a `mask`."""
+    """The rules of the table whose needs c holds, as a `mask`."""
     a = _ANT_MEETS.get(c.ant_kinds)
     if a is None:
         a = _ANT_MEETS[c.ant_kinds] = _meets(0, c.ant_kinds)
@@ -433,8 +429,6 @@ def instances(rule: Rule, c: Shape, seq: Optional[Sequent] = None):
     instance with seq as its only premise (a T rule whose copy is already
     there), which makes no progress; `check_step` accepts it.
     """
-    if not rule.fits(c):
-        return
     for prems, principal in rule.build(c):
         if principal:
             prems = tuple(Sequent(a, s, c.mode) for a, s in prems)
@@ -447,8 +441,9 @@ def backward_applications(logic: Logic, seq: Sequent) -> List[RuleInstance]:
     if seq.mode != logic.mode:
         raise ValueError("sequent mode %r does not match logic %s" % (seq.mode, logic))
     c = Shape(seq.mode, seq.ant, seq.suc)
+    fits = fitting(c)
     return [RuleInstance(name, seq, prems, principal)
-            for name in logic.rules
+            for name in logic.rules if BITS[name] & fits
             for prems, principal in instances(RULES[name], c, seq)]
 
 

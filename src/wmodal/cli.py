@@ -20,7 +20,7 @@ import sys
 from . import prover, syntax
 from .logics import LOGICS, get_logic
 from .prover import Budget, BudgetExceeded
-from .sequents import CONSTRUCTIVE, Sequent, parse_sequent
+from .sequents import CONSTRUCTIVE, parse_sequent
 from .syntax import ParseError
 
 EX_OK = 0
@@ -74,7 +74,7 @@ def _budget(args) -> Budget:
 def _parse_goal(logic, text):
     if "|-" in text:
         return parse_sequent(text, logic.mode)
-    return Sequent((), (syntax.parse(text),), logic.mode)
+    return prover.goal(logic, syntax.parse(text))
 
 
 def cmd_prove(args, out):

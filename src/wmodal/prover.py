@@ -163,6 +163,12 @@ class ProofResult(NamedTuple):
     stats: SearchStats
 
 
+# The stats of a goal that the store answers without search, and the
+# result when it answers with a failure.
+_UNSEARCHED = SearchStats()
+_REFUTED = ProofResult(False, None, _UNSEARCHED)
+
+
 # A pure failure, as the store keeps it: (F, X, C), where F holds the rules
 # that fit some node of the failed subtree, X those of F that the failing
 # logic lacks, and C the invertible rules it committed to.
@@ -188,22 +194,6 @@ class Store:
         self._shared.clear()
 
 
-class _Usable:
-    """The entries of a store's table that one logic can use; supports
-    len() and `in`."""
-
-    def __init__(self, table: dict, usable):
-        self._table = table
-        self._usable = usable
-
-    def __contains__(self, seq) -> bool:
-        return any(map(self._usable, self._table.get(seq, ())))
-
-    def __len__(self) -> int:
-        usable = self._usable
-        return sum(any(map(usable, es)) for es in self._table.values())
-
-
 class Engine:
     """Search engine of one logic over the store of its mode."""
 
@@ -221,29 +211,48 @@ class Engine:
                if mode not in RULES[name].invertible])
         self.rules = [(r, calculus.BITS[r.name], commit)
                       for r, commit in rules]
-        self.mask = mask = calculus.mask(logic.rules)
-        self.proved = _Usable(store.proved, lambda d: not d.mask & ~mask)
-        self.failed = _Usable(
-            store.failed, lambda e: not (e[1] & mask or e[2] & ~mask))
+        self.mask = calculus.mask(logic.rules)
         # `_steps` by the rules of this logic that fit a conclusion, filled
         # as search meets them; it holds no search result.
         self._table: Dict[int, tuple] = {}
 
     # -- public -----------------------------------------------------------
+    # The stored sequents whose derivation, or failure, serves this logic.
+    proved = property(lambda self: self._served(self.store.proved, 0))
+    failed = property(lambda self: self._served(self.store.failed, 1))
+
     def prove(self, seq: Sequent, budget: Budget = Budget()) -> ProofResult:
+        found = self._stored(seq)
+        if found is not None:
+            d = found[0]
+            return _REFUTED if d is None else ProofResult(True, d, _UNSEARCHED)
         self._nodes = 0
         self._blocks = 0
         self._max_nodes = budget.max_nodes
         self._start = time.monotonic()
         self._deadline = self._start + budget.timeout_secs
-        try:
-            deriv, _ = self._search(seq, set())
-        finally:
-            elapsed = time.monotonic() - self._start
-        stats = SearchStats(self._nodes, self._blocks, elapsed)
+        deriv, _ = self._search(seq, set())
+        stats = SearchStats(self._nodes, self._blocks,
+                            time.monotonic() - self._start)
         return ProofResult(deriv is not None, deriv, stats)
 
     # -- internals --------------------------------------------------------
+    def _stored(self, seq: Sequent):
+        """(derivation, None) or (None, failure) for a stored entry that
+        serves this logic, else None.  A derivation serves when this logic
+        has all its rules; a failure when it has none of X and all of C."""
+        mask = self.mask
+        for d in self.store.proved.get(seq, ()):
+            if not d.mask & ~mask:
+                return d, None
+        for e in self.store.failed.get(seq, ()):
+            if not (e[1] & mask or e[2] & ~mask):
+                return None, e
+        return None
+
+    def _served(self, table: dict, i: int) -> set:
+        return {seq for seq in table if (self._stored(seq) or (None, None))[i]}
+
     def _tick(self):
         self._nodes += 1
         if self._nodes > self._max_nodes:
@@ -257,21 +266,15 @@ class Engine:
         """Returns (derivation, None), or (None, failure) for a pure
         failure, one established without any ancestor block, which may
         be stored, or (None, None) for any other failure."""
-        # A derivation serves when this logic has all its rules; a failure
-        # when this logic has none of X and all of C.
-        mask = self.mask
-        for d in self.store.proved.get(seq, ()):
-            if not d.mask & ~mask:
-                return d, None
-        for e in self.store.failed.get(seq, ()):
-            if not (e[1] & mask or e[2] & ~mask):
-                return None, e
+        found = self._stored(seq)
+        if found is not None:
+            return found
         self._tick()
+        # A budget overrun ends the search, and anc with it.
         anc.add(seq)
-        try:
-            return self._expand(seq, anc)
-        finally:
-            anc.discard(seq)
+        result = self._expand(seq, anc)
+        anc.discard(seq)
+        return result
 
     def _steps(self, fits: int) -> tuple:
         """This logic's (rule, bit, commit) whose rule is in fits."""
@@ -345,7 +348,9 @@ def prove(logic: Logic, seq: Sequent, budget: Budget = Budget()) -> ProofResult:
     """Decide derivability of seq in logic's calculus.
 
     Raises BudgetExceeded when the search budget runs out; a returned
-    result is definitive either way.
+    result is definitive either way.  A goal the store already answers
+    for logic is returned without search, with zero stats, whatever the
+    budget.
     """
     if (seq.mode == CONSTRUCTIVE) != (logic.mode == CONSTRUCTIVE):
         raise ValueError("sequent mode %r does not match logic %s"

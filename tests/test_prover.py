@@ -313,8 +313,13 @@ def test_cache_sizes_count_the_entries_each_logic_can_use():
     prover.clear_caches()
     try:
         # M has no rule for |- []top; MN proves it by Nbox, Rimp and Lbot.
+        # M's failure does not serve MN, which lacked Nbox: MN searches.
         assert not prove(m, seq).proved
-        assert prove(mn, seq).proved
+        res = prove(mn, seq)
+        assert res.proved and res.stats.nodes > 0
+        # It serves M, which is answered at once.
+        assert prove(m, seq) == prover.ProofResult(False, None,
+                                                   prover.SearchStats())
         em, emn = prover.engine_for(m), prover.engine_for(mn)
         assert seq in em.failed and seq not in emn.failed
         assert seq in emn.proved and seq not in em.proved
@@ -322,6 +327,23 @@ def test_cache_sizes_count_the_entries_each_logic_can_use():
         assert (len(emn.proved), len(emn.failed)) == (3, 0)
         prover.clear_caches()
         assert len(em.proved) == len(emn.failed) == 0
+    finally:
+        prover.clear_caches()
+
+
+def test_stored_proof_is_returned_without_search():
+    # M's derivation uses Rimp, Mbox and init, which MN has: MN gets the
+    # same object with zero stats, even with no node to spend.
+    m, mn = get_logic("M"), get_logic("MN")
+    seq = prover.goal(m, parse("[]p1 -> []p1"))
+    prover.clear_caches()
+    try:
+        d = prove(m, seq).derivation
+        assert d is not None
+        for budget in (Budget(), Budget(max_nodes=0)):
+            res = prove(mn, seq, budget)
+            assert res.proved and res.derivation is d
+            assert res.stats == prover.SearchStats()
     finally:
         prover.clear_caches()
 

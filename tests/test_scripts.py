@@ -1,6 +1,7 @@
 """The experiment drivers in scripts/ run to completion at a tiny size."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -17,6 +18,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def test_script_exits_zero(script, args):
     proc = run_script(script, *args)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_termination_sweep_counts_decisions_answered_from_store():
+    proc = run_script("termination_sweep.py", "--max-size", "3",
+                      "--logics", "K,KT")
+    rows = re.findall(r"^(\w+) +(\d+) theorems +(\d+) from store ",
+                      proc.stdout.decode(), re.M)
+    assert [r[0] for r in rows] == ["K", "KT"], proc.stdout.decode()
+    # KT has every rule of K, so K's stored derivations serve it.
+    assert int(rows[1][2]) > 0
 
 
 @pytest.mark.parametrize("option, value", [
