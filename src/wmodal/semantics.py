@@ -23,8 +23,11 @@ disjunction and bot are then plain bit operations, `_lane_up` is up in
 every lane by shifts and masks, and `_lane_local` reads box and diamond
 locally in every lane from, for each neighbourhood a, the lane mask of
 the worlds whose family holds a.  A formula compiles into one program
-that `_run` runs over one lane for `extension` and over many, with only
-the atoms' values spread over them, for the enumeration.
+that `_run` runs over one lane for `extension` and over many for the
+enumeration.  There the lanes hold blocks of neighbourhood choices, one
+block per valuation of the formula's last atoms when a frame is small
+enough, and the set-up of each frame class (orders, up-sets, `up` and
+`local` over the lanes, the atoms' lane masks) is made once and kept.
 """
 
 from __future__ import annotations
@@ -421,7 +424,8 @@ class _Slices:
         self.full = (1 << n) - 1
         self.prefixes = tuple(itertools.product(*fams[:k]))
         self.choices = tuple(itertools.product(*fams[k:]))
-        self.one = ((1 << n * len(self.choices)) - 1) // self.full
+        self.one = _repeat(n, len(self.choices))
+        self.width = n * len(self.choices)
         # per neighbourhood a: a's worlds, a in every lane, a's members
         self.spread = [(a, a * self.one, _bits(a))
                        for a in range(self.full + 1)]
@@ -433,20 +437,29 @@ class _Slices:
                     lanes[a][c] |= 1 << w
         # per neighbourhood a: the worlds from k on whose family holds a
         self.sliced = {a: _pack(v, n) for a, v in lanes.items()}
-        self.fixed = None
-        if not k:                   # one slice: its local never changes
-            self.fixed = self.local(())
+        self.tables: Dict[int, dict] = {}   # with one slice: per block count
 
-    def local(self, prefix) -> dict:
-        """local for _run over the slice under prefix."""
-        if self.fixed is not None:
-            return self.fixed
-        mem = dict(self.sliced)
-        for w, fam in enumerate(prefix):
-            for a in fam:
-                mem[a] = mem.get(a, 0) | self.one << w
-        return _lane_local(self.full, self.one,
-                           [(*self.spread[a], m) for a, m in mem.items()])
+    def local(self, prefix, blocks: int = 1) -> dict:
+        """local for _run over the slice under prefix.  One slice (prefix
+        ()) may fill blocks of lanes side by side, each a copy of it; its
+        table is kept, one per block count."""
+        table = self.tables.get(blocks)     # filled only when prefix is ()
+        if table is None:
+            mem = dict(self.sliced)
+            for w, fam in enumerate(prefix):
+                for a in fam:
+                    mem[a] = mem.get(a, 0) | self.one << w
+            tests = [(*self.spread[a], m) for a, m in mem.items()]
+            one = self.one
+            if blocks > 1:
+                rep = _repeat(self.width, blocks)
+                one *= rep
+                tests = [(a, at * rep, bits, m * rep)
+                         for a, at, bits, m in tests]
+            table = _lane_local(self.full, one, tests)
+            if not prefix:
+                self.tables[blocks] = table
+        return table
 
 
 # Kept below MAX_WORLDS worlds only: at 4 worlds a slicing holds about
@@ -465,16 +478,87 @@ def _pack(values: List[int], n: int) -> int:
     return int("".join(map(digits.__getitem__, reversed(values))), 2)
 
 
+def _repeat(width: int, count: int) -> int:
+    """Bits 0, width, ..., (count - 1) * width: times it, a value below
+    2^width fills count places of that width side by side."""
+    return ((1 << width * count) - 1) // ((1 << width) - 1)
+
+
+# The lanes of the largest 3-world slice (20^3 choices): a run fills at
+# most this many with valuation blocks times choices.
+_LANES = 8000
+
+
+class _Plan:
+    """What enumerate_countermodel sets up for a frame class and k atoms:
+    the slice and, per order in turn, (succ, its up-sets, the lanes of a
+    run and their `one`, up over them, local with one slice or else None,
+    the lane masks of the last j atoms' values).
+
+    With one slice, the values of the last j atoms are spread over the
+    lanes too: block i of the lanes holds the slice under the i-th
+    valuation of those atoms in product order, for the largest j <= k
+    with blocks x choices <= _LANES.  k itself is lowered to the most
+    atoms any order of the class fits."""
+
+    def __init__(self, mode, conds, n: int, modal: bool, k: int):
+        self.slices = _slices(n, conds, modal)
+        # the fewest up-sets: 2 where every world sees every other
+        self.k = self._fit(2 if mode == CONSTRUCTIVE else 1 << n, k)
+        self.orders = map(self._order, _preorders(n) if mode == CONSTRUCTIVE
+                          else (_discrete(n),))
+
+    def _fit(self, upsets: int, k: int) -> int:
+        """How many of k atoms of upsets values each fit in the lanes:
+        none beside several slices."""
+        sl, j = self.slices, 0
+        while (j < k and len(sl.prefixes) == 1
+               and len(sl.choices) * upsets ** (j + 1) <= _LANES):
+            j += 1
+        return j
+
+    def _order(self, succ):
+        sl, n, upsets = self.slices, len(succ), _upsets(succ)
+        lanes, spread = len(sl.choices), []
+        for _ in range(self._fit(len(upsets), self.k)):
+            ones = _repeat(n, lanes)
+            # one atom more, in front, as it changes slowest: its i-th
+            # value fills the i-th copy of the lanes so far, and the
+            # masks of the atoms after it repeat once per copy
+            spread = [sum(v * ones << i * n * lanes
+                          for i, v in enumerate(upsets))] + \
+                [s * _repeat(n * lanes, len(upsets)) for s in spread]
+            lanes *= len(upsets)
+        one = _repeat(n, lanes)
+        local = sl.local((), lanes // len(sl.choices)) \
+            if len(sl.prefixes) == 1 else None
+        return succ, upsets, lanes, one, _lane_up(succ, one), local, spread
+
+
+# Kept below MAX_WORLDS worlds only, with every order set up.  At 4 worlds
+# the orders are set up one at a time as the search reaches them (WM's 355
+# take 0.05 s beside the slicing's 0.1 s), and nothing is kept.
+@cache
+def _kept_plan(mode, conds, n: int, modal: bool, k: int) -> _Plan:
+    plan = _Plan(mode, conds, n, modal, k)
+    if plan.k < k:                  # one plan for every k past those that fit
+        return _kept_plan(mode, conds, n, modal, plan.k)
+    plan.orders = tuple(plan.orders)
+    return plan
+
+
 def enumerate_countermodel(logic: Logic, f: Formula, max_worlds: int = 3,
                            budget: Budget = Budget()):
     """First (model, world) refuting f among all models of logic's class
     with at most max_worlds worlds, up to forcing equivalence; else None.
 
     Models are tried by size, preorder, valuation and then neighbourhood
-    choice in product order.  Only the atoms' values are spread over the
-    lanes; one run of _run then covers a slice of the choices (see
-    _Slices), and the lowest bit of the worlds it refutes is the first
-    refuting choice of the slice and its least world.
+    choice in product order.  One run of _run covers a slice of the
+    choices (see _Slices), and on small frames every valuation of the
+    last atoms as well, in blocks of lanes (see _Plan); the lowest bit of
+    the worlds it refutes is the first refuting valuation and choice of
+    the run and their least world.  The set-up of each frame class is
+    kept below MAX_WORLDS.
 
     Raises BudgetExceeded, counting each model tried as a node, when
     budget's time runs out or when the search would have to go past
@@ -485,34 +569,35 @@ def enumerate_countermodel(logic: Logic, f: Formula, max_worlds: int = 3,
     start = time.monotonic()
     deadline = start + budget.timeout_secs
     tried = 0
-
-    def exceeded(reason):
-        return BudgetExceeded(reason, tried, time.monotonic() - start)
-
     atoms, program, modal = _program(f)
+    k = len(atoms)
     rest = [0] * len(program)       # the slots after the atoms
     for n in range(1, max_worlds + 1):
         if n > MAX_WORLDS:
-            raise exceeded("more than %d worlds" % MAX_WORLDS)
-        sl = _slices(n, logic.conditions, modal)
-        one, every, lanes = sl.one, sl.full * sl.one, len(sl.choices)
-        orders = (_preorders(n) if logic.mode == CONSTRUCTIVE
-                  else (_discrete(n),))
-        for succ in orders:
-            up = _lane_up(succ, one)
-            for vals in itertools.product(_upsets(succ), repeat=len(atoms)):
-                ext = [v * one for v in vals] + rest
+            raise BudgetExceeded("more than %d worlds" % MAX_WORLDS, tried,
+                                 time.monotonic() - start)
+        plan = (_kept_plan if n < MAX_WORLDS else _Plan)(
+            logic.mode, logic.conditions, n, modal, k)
+        sl = plan.slices
+        for succ, upsets, lanes, one, up, local, spread in plan.orders:
+            every = sl.full * one
+            for vals in itertools.product(*[upsets] * (k - len(spread))):
+                ext = [v * one for v in vals] + spread + rest
                 for prefix in sl.prefixes:
                     if time.monotonic() > deadline:
-                        raise exceeded("timeout")
-                    m = _run(program, ext, every, up, sl.local(prefix))[-1]
+                        raise BudgetExceeded("timeout", tried,
+                                             time.monotonic() - start)
+                    m = _run(program, ext, every, up,
+                             local or sl.local(prefix))[-1]
                     if m != every:
                         bad = every & ~m
-                        c, world = divmod((bad & -bad).bit_length() - 1, n)
-                        model = _assemble(logic, n, succ,
-                                          prefix + sl.choices[c],
-                                          tuple(zip(atoms, vals)))
-                        return model, world
+                        lane, world = divmod((bad & -bad).bit_length() - 1, n)
+                        # the lane's valuation, read off the atoms' slots
+                        shift = lane * n
+                        val = [e >> shift & sl.full for e in ext[:k]]
+                        choice = sl.choices[lane % len(sl.choices)]
+                        return _assemble(logic, n, succ, prefix + choice,
+                                         tuple(zip(atoms, val))), world
                     tried += lanes
     return None
 
@@ -558,6 +643,9 @@ def _world_set(ws, n: int, what: str) -> int:
 # -> set.
 _MAX_NESTING = 4
 _JSON_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[\[{]|[\]}]')
+# An atom as model_to_json writes it: no sign, space, underscore, leading
+# zero or non-ASCII digit, so that no two keys name one atom.
+_ATOM_KEY = re.compile(r"p[1-9][0-9]*")
 
 
 def _check_nesting(text: str):
@@ -595,7 +683,7 @@ def model_from_json(text: str):
     val = []
     for key, ws in sorted(_typed(doc.get("valuation", {}), dict,
                                  "valuation").items()):
-        if not key.startswith("p"):
+        if not _ATOM_KEY.fullmatch(key):
             raise ValueError("bad atom key %r" % key)
         val.append((int(key[1:]), _world_set(ws, n, "the valuation of " + key)))
     if doc.get("kind") == CONSTRUCTIVE:

@@ -258,6 +258,18 @@ def test_check_model_malformed_document_exit_64(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("key", ["p0", "p-1", "p01", "p 1", "p1_0", "p１"])
+def test_check_model_atom_key_that_names_no_atom_exit_64(tmp_path, capsys,
+                                                         key):
+    # "p01" used to alias p1 and give it a second value.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(
+        {"version": 1, "kind": "classical", "worlds": [0],
+         "neighbourhoods": {}, "valuation": {"p1": [0], key: []}}))
+    assert cli.main(["check-model", "--logic", "M", str(path)]) == 64
+    assert "bad atom key" in capsys.readouterr().err
+
+
 def test_check_model_invalid_formula(tmp_path, capsys):
     m = semantics.ConstructiveNeighModel(1, (1,), ((),), ())
     path = tmp_path / "model.json"

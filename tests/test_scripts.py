@@ -12,6 +12,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize("script, args", [
     ("termination_sweep.py", ["--max-size", "3", "--logics", "K,WK"]),
+    ("countermodel_sweep.py", ["--max-size", "3", "--logics", "K,WK",
+                               "--max-worlds", "2"]),
     ("axiom_matrix.py", ["--mode", "constructive"]),
     ("run_fuzz.py", ["--count", "1", "--logics", "WM"]),
 ])
@@ -28,6 +30,20 @@ def test_termination_sweep_counts_decisions_answered_from_store():
     assert [r[0] for r in rows] == ["K", "KT"], proc.stdout.decode()
     # KT has every rule of K, so K's stored derivations serve it.
     assert int(rows[1][2]) > 0
+
+
+def test_countermodel_sweep_prints_a_row_per_logic():
+    proc = run_script("countermodel_sweep.py", "--max-size", "3",
+                      "--logics", "K,WK", "--max-worlds", "2")
+    assert proc.returncode == 0, proc.stdout.decode()
+    rows = re.findall(r"^(\w+) +(\d+) theorems +(\d+) at 1 world +(\d+) at 2 "
+                      r"worlds +(\d+) disagreements ", proc.stdout.decode(),
+                      re.M)
+    assert [r[0] for r in rows] == ["K", "WK"], proc.stdout.decode()
+    for _, theorems, one, two, wrong in rows:
+        # the 48 formulas of size <= 3 over two atoms
+        assert int(theorems) + int(one) + int(two) == 48
+        assert int(wrong) == 0
 
 
 @pytest.mark.parametrize("option, value", [

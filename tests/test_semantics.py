@@ -406,6 +406,101 @@ def test_lanes_agree_with_recursive_forcing_at_4_worlds(name):
             (model_to_json(model), syntax.render(f))
 
 
+@pytest.mark.parametrize("name, n, text, spread", [
+    # 8,000 choices at 3 worlds without conditions: no valuation blocks
+    ("WM", 3, "[]p1 -> <>(p2 & p1)", "none"),
+    # 36 choices at 2 worlds: 4^3 blocks of them under the discrete
+    # order, 4 atoms' worth under the orders with fewer up-sets
+    ("M", 2, "[](p1 -> p2) | <>(p3 & ~p4)", "some"),
+    ("WM", 2, "[](p1 -> p2) | <>(p3 & ~p4)", "some"),
+    ("K", 2, "[]p1 -> <>(p2 | ~p1)", "all"),
+    ("WKT", 2, "[](p1 -> p2) -> <>p1", "all"),
+])
+def test_lanes_of_valuation_blocks_agree_with_recursive_forcing(
+        name, n, text, spread):
+    # After one run of an order of a frame class, lane c of block i
+    # holds the extension of f in the model of choice c under the i-th
+    # valuation of the atoms in the lanes, in product order.
+    rng = random.Random(name + text)
+    logic, f = LOGICS[name], parse(text)
+    atoms, program, modal = semantics._program(f)
+    plan = semantics._kept_plan(logic.mode, logic.conditions, n, modal,
+                                len(atoms))
+    sl = plan.slices
+    full = (1 << n) - 1
+    kept = set()
+    orders = rng.sample(plan.orders, min(4, len(plan.orders)))
+    for succ, upsets, lanes, one, up, local, masks in orders:
+        j = len(masks)
+        kept.add(j)
+        assert lanes == len(upsets) ** j * len(sl.choices) <= 8000
+        outer = [rng.choice(upsets) for _ in atoms[j:]]
+        ext = [v * one for v in outer] + masks + [0] * len(program)
+        m = semantics._run(program, ext, full * one, up, local)[-1]
+        blocks = list(itertools.product(upsets, repeat=j))
+        for lane in range(lanes):
+            block, c = divmod(lane, len(sl.choices))
+            model = semantics._assemble(
+                logic, n, succ, sl.choices[c],
+                tuple(zip(atoms, outer + list(blocks[block]))))
+            value = m >> lane * n & full
+            assert value == reference_extension(model, f), \
+                (model_to_json(model), lane)
+    assert {"none": {0}, "all": {len(atoms)}}.get(spread, kept) == kept
+    if spread == "some":
+        assert 0 < min(kept) < len(atoms)
+
+
+def test_no_valuation_blocks_beside_several_slices():
+    # KT has 19 families per world at MAX_WORLDS, so 361 choices of the
+    # last two worlds per slice; blocks there would try a later prefix's
+    # choices before an earlier valuation's.
+    kt = LOGICS["KT"]
+    plan = semantics._Plan(kt.mode, kt.conditions, semantics.MAX_WORLDS,
+                           True, 2)
+    assert len(plan.slices.prefixes) > 1 and len(plan.slices.choices) == 361
+    assert plan.k == 0
+    assert [len(spread) for *_, spread in plan.orders] == [0]
+
+
+# Forced at every world of a 1-world model: refuting it takes two
+# neighbourhoods, one inside |p4| and one inside |~p4|, neither empty.
+NEEDS_2_WORLDS = parse("~([]p4 & []~p4 & ~[]bot)")
+
+
+def test_countermodel_matches_per_choice_reference_with_valuation_blocks():
+    # 2-world searches of 3- and 4-atom formulas in every logic, whose
+    # runs hold several valuations each.
+    rng = random.Random(71)
+    compared = 0
+    for name in sorted(LOGICS):
+        for _ in range(2):
+            while True:
+                f = syntax.disj(NEEDS_2_WORLDS, sampling.random_formula(
+                    rng, rng.randint(3, 7), 3))
+                if len(semantics._program(f)[0]) >= 3:
+                    break
+            want = reference_countermodel(LOGICS[name], f, 2, 100_000)
+            got = enumerate_countermodel(LOGICS[name], f, 2)
+            assert witness_doc(got) == witness_doc(want), \
+                (name, syntax.render(f))
+            compared += want is not None and want[0].n == 2
+    assert compared >= 10
+
+
+def test_prover_and_countermodels_agree_on_size5_space():
+    # The paper's claim on the size <= 5 two-atom space: a formula is a
+    # theorem exactly when it has no countermodel of at most 3 worlds.
+    disagree = []
+    for name in sorted(LOGICS):
+        logic = LOGICS[name]
+        for f in sampling.formulas_up_to_size(5, 2):
+            refuted = enumerate_countermodel(logic, f, 3) is not None
+            if prover.decide(logic, f) == refuted:
+                disagree.append((name, syntax.render(f)))
+    assert disagree == []
+
+
 @pytest.mark.parametrize("name", ["WK", "WMC"])
 def test_countermodel_k_axiom_exhaustive_at_3_worlds(name):
     # Every 3-world model of the class is tried within 3 s.
@@ -449,6 +544,17 @@ def test_json_roundtrip_bit_exact_text():
     m = random_model(get_logic("WM"), 3, seed=5)
     text = model_to_json(m)
     assert model_to_json(model_from_json(text)) == text
+
+
+@pytest.mark.parametrize("key", ["p0", "p-1", "p01", "p 1", "p1_0",
+                                 "p１", "p", "q1", "p+1"])
+def test_json_rejects_keys_that_name_no_atom_or_alias_one(key):
+    # int() would read "p01" and "p１" (a full-width 1) as p1, and
+    # "p1_0" as p10: two keys could give one atom two values.
+    doc = ('{"version": 1, "kind": "classical", "worlds": [0], '
+           '"neighbourhoods": {}, "valuation": {"p1": [0], "%s": []}}' % key)
+    with pytest.raises(ValueError, match="bad atom key"):
+        model_from_json(doc)
 
 
 def test_json_nesting_limit_skips_strings():
