@@ -12,10 +12,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize("script, args", [
     ("termination_sweep.py", ["--max-size", "3", "--logics", "K,WK"]),
-    ("countermodel_sweep.py", ["--max-size", "3", "--logics", "K,WK",
-                               "--max-worlds", "2"]),
     ("axiom_matrix.py", ["--mode", "constructive"]),
     ("run_fuzz.py", ["--count", "1", "--logics", "WM"]),
+    ("countermodel_sweep.py", ["--max-size", "3", "--logics", "K,WK",
+                               "--max-worlds", "2"]),
 ])
 def test_script_exits_zero(script, args):
     proc = run_script(script, *args)
