@@ -7,8 +7,9 @@ alphabet) in every logic and searches each for a countermodel of at most
 non-theorems refuted at each number of worlds (by the smallest
 countermodel), the disagreements and the time.  A disagreement is a
 theorem with a countermodel, a non-theorem with none of at most
---max-worlds worlds, or a countermodel that does not verify (conditions
-of the logic's class, f refuted at the world).  This is the operational
+--max-worlds worlds, or a countermodel that does not verify (a preorder
+with a hereditary valuation, discrete in a classical model; conditions
+of the logic's class; f refuted at the world).  This is the operational
 check of the paper's claim that the calculi and the semantics give the
 same logics, on the small-formula space.
 
@@ -24,6 +25,14 @@ import time
 
 from wmodal import prover, sampling, semantics, syntax
 from wmodal.logics import LOGICS
+
+
+def well_formed(model) -> bool:
+    try:
+        model.validate()
+    except ValueError:
+        return False
+    return True
 
 
 def main() -> int:
@@ -70,7 +79,8 @@ def main() -> int:
                 refuted[model.n] += 1
                 if theorem:
                     wrong = "theorem with a countermodel"
-                elif (not semantics.check_conditions(model, logic).ok
+                elif (not well_formed(model)
+                      or not semantics.check_conditions(model, logic).ok
                       or semantics.forces(model, world, f)):
                     wrong = "countermodel does not verify"
                 else:

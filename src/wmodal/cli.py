@@ -20,7 +20,7 @@ import sys
 from . import prover, syntax
 from .logics import LOGICS, get_logic
 from .prover import Budget, BudgetExceeded
-from .sequents import CONSTRUCTIVE, parse_sequent
+from .sequents import parse_sequent
 from .syntax import ParseError
 
 EX_OK = 0
@@ -150,7 +150,7 @@ def cmd_check_model(args, out):
     logic = get_logic(args.logic)
     with open(args.model_file) as fh:
         model = semantics.model_from_json(fh.read())
-    if (model.kind == CONSTRUCTIVE) != (logic.mode == CONSTRUCTIVE):
+    if model.kind != logic.mode:
         out.emit({"command": "check-model", "status": "wrong-kind"},
                  "model kind %s does not fit logic %s" % (model.kind, logic.name))
         return EX_NEGATIVE

@@ -1,14 +1,15 @@
 """Finite neighbourhood models, classical and constructive.
 
-Worlds are 0..n-1; sets of worlds are bitmasks.  A constructive model
-has a preorder, given as the successor mask of each world, a family of
-neighbourhoods per world and a hereditary valuation.  A classical model
-is the constructive model on the discrete order, where each world is its
-own only successor.  So one evaluator, `_run`, serves both: the clauses
-for implication, box and diamond are read locally and then cut down to
-the worlds all of whose successors satisfy them, which on the discrete
-order changes nothing.  Each frame condition is stated once, in
-`_violation`, for checking models and for generating them.
+Worlds are 0..n-1; sets of worlds are bitmasks.  A model has a preorder,
+given as the successor mask of each world, a family of neighbourhoods
+per world and a hereditary valuation.  There is one model type, `Model`,
+for both kinds: a classical model is the constructive model on the
+discrete order, where each world is its own only successor, and its
+`kind` says which logics it serves.  So one evaluator, `_run`, serves
+both: the clauses for implication, box and diamond are read locally and
+then cut down to the worlds all of whose successors satisfy them, which
+on the discrete order changes nothing.  Each frame condition is stated
+once, in `_violation`, for checking models and for generating them.
 
 Countermodel enumeration ranges over neighbourhood families that are
 antichains under inclusion (closed under intersection when the logic
@@ -79,44 +80,29 @@ def _intransitive(succ) -> Optional[Tuple[int, int]]:
     return None
 
 
-class NeighModel(NamedTuple):
-    """Classical neighbourhood model: a constructive one on the discrete
-    order."""
-    n: int
-    neigh: Tuple[Tuple[int, ...], ...]   # per world: sorted neighbourhood masks
-    val: Tuple[Tuple[int, int], ...]     # (atom index, extension mask), sorted
-
-    kind = CLASSICAL
-
-    @property
-    def full(self) -> int:
-        return (1 << self.n) - 1
-
-    @property
-    def succ(self) -> Tuple[int, ...]:
-        return _discrete(self.n)
-
-
-class ConstructiveNeighModel(NamedTuple):
-    """Constructive neighbourhood model: preorder + hereditary valuation."""
+class Model(NamedTuple):
+    """Neighbourhood model; a classical one has the discrete order."""
+    kind: str                            # CLASSICAL or CONSTRUCTIVE
     n: int
     succ: Tuple[int, ...]                # succ[w] = mask of v with w <= v
-    neigh: Tuple[Tuple[int, ...], ...]
-    val: Tuple[Tuple[int, int], ...]
-
-    kind = CONSTRUCTIVE
+    neigh: Tuple[Tuple[int, ...], ...]   # per world: sorted neighbourhood masks
+    val: Tuple[Tuple[int, int], ...]     # (atom index, extension mask), sorted
 
     @property
     def full(self) -> int:
         return (1 << self.n) - 1
 
     def validate(self):
+        """ValueError unless the order is a preorder, the discrete one in a
+        classical model, and the valuation is hereditary."""
         for w in range(self.n):
             if not self.succ[w] & (1 << w):
                 raise ValueError("order not reflexive at %d" % w)
         bad = _intransitive(self.succ)
         if bad is not None:
             raise ValueError("order not transitive at %d<=%d" % bad)
+        if self.kind == CLASSICAL and self.succ != _discrete(self.n):
+            raise ValueError("order of a classical model not discrete")
         for a, m in self.val:
             for w in _bits(m):
                 if self.succ[w] & ~m:
@@ -274,28 +260,17 @@ def _violation(cond: str, w: int, fam) -> Optional[tuple]:
     raise ValueError("unknown condition %r" % cond)
 
 
-def _check_condition(model, cond: str):
-    """Returns (holds, witness or None)."""
-    for w, fam in enumerate(model.neigh):
-        wit = _violation(cond, w, fam)
-        if wit is not None:
-            return False, wit
-    return True, None
-
-
 def check_conditions(model, logic: Logic) -> ConditionReport:
     required = tuple(c for c in CONDITION_NAMES if c in logic.conditions)
     status, witnesses = {}, {}
     for c in required:
-        ok, wit = _check_condition(model, c)
-        status[c] = ok
-        if wit is not None:
-            witnesses[c] = wit
+        for w, fam in enumerate(model.neigh):
+            wit = _violation(c, w, fam)
+            if wit is not None:
+                witnesses[c] = wit
+                break
+        status[c] = c not in witnesses
     return ConditionReport(required, status, witnesses)
-
-
-def conditions_hold(model, conds: Iterable[str]) -> bool:
-    return all(_check_condition(model, c)[0] for c in conds)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +318,8 @@ def random_model(logic: Logic, max_worlds: int, seed: int):
             for w in _bits(m):
                 m |= succ[w]
             val.append((a, m))
-        model = _assemble(logic, n, tuple(succ), tuple(neigh), tuple(val))
-        if conditions_hold(model, conds):
+        model = Model(logic.mode, n, tuple(succ), tuple(neigh), tuple(val))
+        if check_conditions(model, logic).ok:
             return model
     raise ResamplingExhausted("no %s-model found in %d tries"
                               % (logic.name, _RANDOM_MODEL_TRIES))
@@ -596,16 +571,10 @@ def enumerate_countermodel(logic: Logic, f: Formula, max_worlds: int = 3,
                         shift = lane * n
                         val = [e >> shift & sl.full for e in ext[:k]]
                         choice = sl.choices[lane % len(sl.choices)]
-                        return _assemble(logic, n, succ, prefix + choice,
-                                         tuple(zip(atoms, val))), world
+                        return Model(logic.mode, n, succ, prefix + choice,
+                                     tuple(zip(atoms, val))), world
                     tried += lanes
     return None
-
-
-def _assemble(logic, n, succ, neigh, val):
-    if logic.mode == CONSTRUCTIVE:
-        return ConstructiveNeighModel(n, succ, neigh, val)
-    return NeighModel(n, neigh, val)
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +615,8 @@ _JSON_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[\[{]|[\]}]')
 # An atom as model_to_json writes it: no sign, space, underscore, leading
 # zero or non-ASCII digit, so that no two keys name one atom.
 _ATOM_KEY = re.compile(r"p[1-9][0-9]*")
+# A world as model_to_json writes it, so that every family is read.
+_WORLD_KEY = re.compile(r"0|[1-9][0-9]*")
 
 
 def _check_nesting(text: str):
@@ -671,10 +642,15 @@ def model_from_json(text: str):
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise ValueError("not a version 1 model document")
+    if (kind := doc.get("kind")) not in (CLASSICAL, CONSTRUCTIVE):
+        raise ValueError("unknown model kind %r" % kind)
     n = len(worlds := _typed(doc.get("worlds"), list, "worlds"))
     if n == 0 or _world_set(worlds, n, "worlds") != (1 << n) - 1:
         raise ValueError("worlds must be 0..n-1, nonempty")
     fams = _typed(doc.get("neighbourhoods"), dict, "neighbourhoods")
+    for key in fams:
+        if not (_WORLD_KEY.fullmatch(key) and int(key) < n):
+            raise ValueError("bad world key %r" % key)
     neigh = []
     for w in range(n):
         fam = _typed(fams.get(str(w), []), list, "the family of world %d" % w)
@@ -686,17 +662,13 @@ def model_from_json(text: str):
         if not _ATOM_KEY.fullmatch(key):
             raise ValueError("bad atom key %r" % key)
         val.append((int(key[1:]), _world_set(ws, n, "the valuation of " + key)))
-    if doc.get("kind") == CONSTRUCTIVE:
-        succ = [1 << w for w in range(n)]
-        for pair in _typed(doc.get("order", []), list, "order"):
-            _world_set(pair, n, "an order pair")
-            if len(pair) != 2:
-                raise ValueError("an order pair has two worlds")
-            w, v = pair
-            succ[w] |= 1 << v
-        model = ConstructiveNeighModel(n, tuple(succ), tuple(neigh), tuple(val))
-        model.validate()
-        return model
-    if doc.get("kind") == CLASSICAL:
-        return NeighModel(n, tuple(neigh), tuple(val))
-    raise ValueError("unknown model kind %r" % doc.get("kind"))
+    succ = list(_discrete(n))       # the order when the document has none
+    for pair in _typed(doc.get("order", []), list, "order"):
+        _world_set(pair, n, "an order pair")
+        if len(pair) != 2:
+            raise ValueError("an order pair has two worlds")
+        w, v = pair
+        succ[w] |= 1 << v
+    model = Model(kind, n, tuple(succ), tuple(neigh), tuple(val))
+    model.validate()
+    return model

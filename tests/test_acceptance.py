@@ -134,6 +134,10 @@ def test_criterion_10_countermodel_cross_check():
             continue
         found += 1
         model, world = hit
+        try:
+            model.validate()
+        except ValueError as e:
+            problems.append((name, text, "witness malformed: %s" % e))
         if not semantics.check_conditions(model, logic).ok:
             problems.append((name, text, "witness violates frame conditions"))
         if semantics.forces(model, world, f):

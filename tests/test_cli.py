@@ -12,6 +12,7 @@ import pytest
 
 from wmodal import cli, prover, semantics, syntax
 from wmodal.logics import get_logic
+from wmodal.sequents import CLASSICAL, CONSTRUCTIVE
 
 
 def run(capsys, *argv):
@@ -250,6 +251,12 @@ def test_check_model_roundtrip(tmp_path, capsys):
      "neighbourhoods": {"0": [[0]]}, "valuation": {"p1": 1}},
     {"version": 1, "kind": "constructive", "worlds": [0, 1],
      "neighbourhoods": {}, "order": [[0, 1, 1]]},
+    # a family under a key that names no world
+    {"version": 1, "kind": "classical", "worlds": [0],
+     "neighbourhoods": {"00": [[0]], "7": [[0]]}},
+    # a classical model on an order that is not discrete
+    {"version": 1, "kind": "classical", "worlds": [0, 1],
+     "neighbourhoods": {}, "order": [[0, 1]]},
 ])
 def test_check_model_malformed_document_exit_64(tmp_path, capsys, doc):
     path = tmp_path / "model.json"
@@ -271,7 +278,7 @@ def test_check_model_atom_key_that_names_no_atom_exit_64(tmp_path, capsys,
 
 
 def test_check_model_invalid_formula(tmp_path, capsys):
-    m = semantics.ConstructiveNeighModel(1, (1,), ((),), ())
+    m = semantics.Model(CONSTRUCTIVE, 1, (1,), ((),), ())
     path = tmp_path / "model.json"
     path.write_text(semantics.model_to_json(m))
     code, _ = run(capsys, "check-model", "--logic", "WM", str(path), "[]top")
@@ -279,7 +286,7 @@ def test_check_model_invalid_formula(tmp_path, capsys):
 
 
 def test_check_model_wrong_kind(tmp_path, capsys):
-    m = semantics.NeighModel(1, ((),), ())
+    m = semantics.Model(CLASSICAL, 1, (1,), ((),), ())
     path = tmp_path / "model.json"
     path.write_text(semantics.model_to_json(m))
     code, _ = run(capsys, "check-model", "--logic", "WM", str(path))
@@ -354,7 +361,8 @@ def test_missing_subcommand_exit_64(capsys):
 ])
 def test_unread_option_exit_64(tmp_path, capsys, argv):
     path = tmp_path / "model.json"
-    path.write_text(semantics.model_to_json(semantics.NeighModel(1, ((),), ())))
+    path.write_text(semantics.model_to_json(
+        semantics.Model(CLASSICAL, 1, (1,), ((),), ())))
     argv = [str(path) if a == "MODEL" else a for a in argv]
     assert run(capsys, *argv)[0] == 64
 
@@ -406,7 +414,7 @@ _COMMAND_MODULES = {"semantics", "interpolation", "suites", "sampling"}
 def test_command_loads_only_the_modules_it_runs(tmp_path, argv, runs):
     model = tmp_path / "model.json"
     model.write_text(semantics.model_to_json(
-        semantics.NeighModel(1, ((),), ())))
+        semantics.Model(CLASSICAL, 1, (1,), ((),), ())))
     argv = [str(model) if a == "MODEL" else a for a in argv]
     loaded = loaded_modules(*argv)
     assert "wmodal.cli" in loaded

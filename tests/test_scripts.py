@@ -59,6 +59,15 @@ def test_termination_sweep_rejects_bad_budget(option, value):
     assert proc.stdout == b""
 
 
+@pytest.mark.parametrize("worlds", ["5", "0"])
+def test_countermodel_sweep_rejects_worlds_past_the_search(worlds):
+    proc = run_script("countermodel_sweep.py", "--max-size", "3",
+                      "--logics", "WK", "--max-worlds", worlds)
+    assert proc.returncode == 2
+    assert "--max-worlds must be 1 to 4" in proc.stderr.decode()
+    assert proc.stdout == b""
+
+
 def run_script(script, *args):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     return subprocess.run(

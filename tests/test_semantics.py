@@ -10,8 +10,7 @@ import pytest
 from wmodal import prover, sampling, semantics, syntax
 from wmodal.logics import LOGICS, get_logic
 from wmodal.prover import Budget, BudgetExceeded
-from wmodal.semantics import (ConstructiveNeighModel, NeighModel,
-                              check_conditions, conditions_hold,
+from wmodal.semantics import (Model, check_conditions,
                               enumerate_countermodel, extension, forces,
                               model_from_json, model_to_json, random_model,
                               valid_in_model)
@@ -21,8 +20,8 @@ from wmodal.syntax import AND, ATOM, BOT, BOX, DIA, IMP, OR, atom, bot, box, \
 
 p = atom(1)
 
-EMPTY_CLASSICAL = NeighModel(1, ((),), ())
-EMPTY_CNM = ConstructiveNeighModel(1, (1,), ((),), ())
+EMPTY_CLASSICAL = Model(CLASSICAL, 1, (1,), ((),), ())
+EMPTY_CNM = Model(CONSTRUCTIVE, 1, (1,), ((),), ())
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +38,8 @@ def test_empty_neighbourhoods_refute_box_top():
 
 
 def test_singleton_neighbourhood_forces_box_p():
-    classical = NeighModel(1, ((1,),), ((1, 1),))
-    constructive = ConstructiveNeighModel(1, (1,), ((1,),), ((1, 1),))
+    classical = Model(CLASSICAL, 1, (1,), ((1,),), ((1, 1),))
+    constructive = Model(CONSTRUCTIVE, 1, (1,), ((1,),), ((1, 1),))
     assert forces(classical, 0, box(p))
     assert forces(constructive, 0, box(p))
 
@@ -48,7 +47,7 @@ def test_singleton_neighbourhood_forces_box_p():
 def test_constructive_implication_quantifies_over_successors():
     # w0 <= w1; p holds only at w1, q nowhere: p -> q fails at w0 because
     # the successor w1 refutes it locally.
-    m = ConstructiveNeighModel(2, (3, 2), ((), ()), ((1, 2),))
+    m = Model(CONSTRUCTIVE, 2, (3, 2), ((), ()), ((1, 2),))
     assert not forces(m, 0, parse("p1 -> p2"))
     assert forces(m, 0, neg(p)) is False  # p is forced at the successor
 
@@ -122,7 +121,7 @@ def test_classical_model_is_discrete_constructive_model():
         m = random_model(get_logic(rng.choice(["M", "MC", "MN", "K", "KT"])),
                          4, rng.getrandbits(32))
         assert m.succ == tuple(1 << w for w in range(m.n))
-        c = ConstructiveNeighModel(m.n, m.succ, m.neigh, m.val)
+        c = m._replace(kind=CONSTRUCTIVE)
         c.validate()
         for _ in range(5):
             f = sampling.random_formula(rng, rng.randint(1, 9))
@@ -145,21 +144,22 @@ def test_condition_n_fails_on_empty_family():
 
 
 def test_condition_c_fails_on_missing_intersection():
-    m = NeighModel(2, ((1, 2), ()), ())
-    assert not conditions_hold(m, ["C"])
-    holds, wit = semantics._check_condition(m, "C")
-    assert not holds and wit is not None
+    m = Model(CLASSICAL, 2, (1, 2), ((1, 2), ()), ())
+    rep = check_conditions(m, get_logic("MC"))
+    assert not rep.ok
+    assert rep.status["C"] is False and rep.witnesses["C"] is not None
 
 
 def test_condition_t_holds_when_worlds_in_their_neighbourhoods():
-    m = NeighModel(2, ((1, 3), (2,)), ())
-    assert conditions_hold(m, ["T"])
+    m = Model(CLASSICAL, 2, (1, 2), ((1, 3), (2,)), ())
+    assert check_conditions(m, get_logic("MT")).ok
 
 
 def test_condition_d_includes_equal_pairs():
     # {a} with a nonempty intersects itself; the empty neighbourhood fails D
-    assert conditions_hold(NeighModel(1, ((1,),), ()), ["D"])
-    assert not conditions_hold(NeighModel(1, ((0,),), ()), ["D"])
+    md = get_logic("MD")
+    assert check_conditions(Model(CLASSICAL, 1, (1,), ((1,),), ()), md).ok
+    assert not check_conditions(Model(CLASSICAL, 1, (1,), ((0,),), ()), md).ok
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +189,8 @@ def test_random_model_satisfies_conditions(name):
     for seed in range(10):
         m = random_model(logic, 4, seed)
         assert check_conditions(m, logic).ok
-        if isinstance(m, ConstructiveNeighModel):
-            m.validate()
-        else:
-            assert logic.mode == "classical"
+        assert m.kind == logic.mode
+        m.validate()
 
 
 def test_random_model_single_world_wm():
@@ -308,8 +306,8 @@ def reference_countermodel(logic, f, max_worlds, limit):
                     m = semantics._run(program, ext, full, up.__getitem__,
                                        tables[i])[-1]
                     if m != full:
-                        model = semantics._assemble(logic, n, succ, neigh,
-                                                    tuple(zip(atoms, vals)))
+                        model = Model(logic.mode, n, succ, neigh,
+                                      tuple(zip(atoms, vals)))
                         return model, semantics._bits(full & ~m)[0]
     return None
 
@@ -369,8 +367,8 @@ def test_lanes_agree_with_recursive_forcing():
                            semantics._lane_up(succ, sl.one),
                            sl.local(prefix))[-1]
         for c, choice in enumerate(sl.choices):
-            model = semantics._assemble(logic, n, succ, prefix + choice,
-                                        tuple(zip(atoms, vals)))
+            model = Model(logic.mode, n, succ, prefix + choice,
+                          tuple(zip(atoms, vals)))
             lane = m >> c * n & full
             assert lane == reference_extension(model, f), \
                 (model_to_json(model), syntax.render(f))
@@ -399,8 +397,8 @@ def test_lanes_agree_with_recursive_forcing_at_4_worlds(name):
                        semantics._lane_up(succ, sl.one),
                        sl.local(prefix))[-1]
     for c in range(0, len(sl.choices), len(sl.choices) // 200):
-        model = semantics._assemble(logic, n, succ, prefix + sl.choices[c],
-                                    tuple(zip(atoms, vals)))
+        model = Model(logic.mode, n, succ, prefix + sl.choices[c],
+                      tuple(zip(atoms, vals)))
         lane = m >> c * n & full
         assert lane == reference_extension(model, f), \
             (model_to_json(model), syntax.render(f))
@@ -440,8 +438,8 @@ def test_lanes_of_valuation_blocks_agree_with_recursive_forcing(
         blocks = list(itertools.product(upsets, repeat=j))
         for lane in range(lanes):
             block, c = divmod(lane, len(sl.choices))
-            model = semantics._assemble(
-                logic, n, succ, sl.choices[c],
+            model = Model(
+                logic.mode, n, succ, sl.choices[c],
                 tuple(zip(atoms, outer + list(blocks[block]))))
             value = m >> lane * n & full
             assert value == reference_extension(model, f), \
@@ -557,6 +555,18 @@ def test_json_rejects_keys_that_name_no_atom_or_alias_one(key):
         model_from_json(doc)
 
 
+@pytest.mark.parametrize("key", ["00", "01", "2", "7", "-0", "+1", " 1",
+                                 "1 ", "１", "", "w1"])
+def test_json_rejects_keys_that_name_no_world(key):
+    # The family under a key that names no world, such as "01" or "１"
+    # (a full-width 1), both of which int() reads as 1, used to be
+    # dropped without a word.
+    doc = ('{"version": 1, "kind": "classical", "worlds": [0, 1], '
+           '"neighbourhoods": {"0": [], "%s": [[0]]}}' % key)
+    with pytest.raises(ValueError, match="bad world key"):
+        model_from_json(doc)
+
+
 def test_json_nesting_limit_skips_strings():
     m = random_model(get_logic("WMN"), 3, seed=2)
     text = model_to_json(m)
@@ -588,9 +598,14 @@ def test_forcing_hereditary_along_order():
 
 def test_validate_rejects_irreflexive_order():
     with pytest.raises(ValueError):
-        ConstructiveNeighModel(2, (1, 1), ((), ()), ()).validate()
+        Model(CONSTRUCTIVE, 2, (1, 1), ((), ()), ()).validate()
+
+
+def test_validate_rejects_classical_order_not_discrete():
+    with pytest.raises(ValueError, match="not discrete"):
+        Model(CLASSICAL, 2, (3, 2), ((), ()), ()).validate()
 
 
 def test_validate_rejects_non_hereditary_valuation():
     with pytest.raises(ValueError):
-        ConstructiveNeighModel(2, (3, 2), ((), ()), ((1, 1),)).validate()
+        Model(CONSTRUCTIVE, 2, (3, 2), ((), ()), ((1, 1),)).validate()
