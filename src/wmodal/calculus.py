@@ -13,6 +13,13 @@ builder, but one with them may still have none, which the builder
 decides.  `fitting` gives the rules that fit a conclusion, those whose
 needs it holds, as a set of `BITS` looked up by its kinds.
 
+Eleven modal rules without context (Mbox, Mdia, D, dualandM, dualorM,
+Dbox, Ddia, Nbox, Ndia, Pbox, Pdia) strip their principals' outer
+modality: the one premise holds each principal's subformula on its
+principal's side.  They share one builder, `_stripping`, whose row names
+the `Shape` lists it strips, in one of three shapes: one principal; one
+from each of two lists; two from one list, each pair once.
+
 The constructive calculi WM ... WKT are the single-succedent restriction
 of the classical calculi M ... KT, and their modal rules are derived
 from the classical ones by `constructive`; the comment on its exception
@@ -199,68 +206,45 @@ def _itdia(c):
         yield [(c.ant, (t.left,))], (t,)
 
 
-# --- modal rules without context ----------------------------------------
+# --- stripping rules: the premise is the principals' subformulas --------
 
-def _mbox(c):
-    for f in c.boxes:
-        for t in c.sboxes:
-            yield [((f.left,), (t.left,))], (t, f)
+# The `Shape` lists of succedent formulas; boxes and dias are antecedent.
+_SUCCEDENT = ("sboxes", "sdias")
 
 
-def _mdia(c):
-    for f in c.dias:
-        for t in c.sdias:
-            yield [((f.left,), (t.left,))], (t, f)
+def _stripping(outer: str, inner: str = "", pairs: bool = False) -> Builder:
+    """The builder of a stripping rule.  Its principals are one formula of
+    the `Shape` list outer; or one of outer and one of inner, outer's loop
+    outermost; or, with pairs, two of outer, each pair once.  The k
+    succedent principals come first, and the premise holds their
+    subformulas in its succedent, those of the rest in its antecedent."""
+    lists = (outer, inner) if inner else (outer,) * (1 + pairs)
+    k = sum(name in _SUCCEDENT for name in lists)
+    get_outer = attrgetter(outer)
+    if pairs:
+        def build(c):
+            fs = get_outer(c)
+            for i, f in enumerate(fs):
+                for g in fs[i + 1:]:
+                    subs = f.left, g.left
+                    yield [(subs[k:], subs[:k])], (f, g)
+    elif inner:
+        get_inner = attrgetter(inner)
+        # outer in the antecedent, inner in the succedent: inner's first.
+        flip = k == 1 and inner in _SUCCEDENT
 
-
-def _d(c):
-    for f in c.boxes:
-        for t in c.sdias:
-            yield [((f.left,), (t.left,))], (t, f)
-
-
-def _dualand_m(c):
-    for fb in c.boxes:
-        for fd in c.dias:
-            yield [((fb.left, fd.left), ())], (fb, fd)
-
-
-def _dualor_m(c):
-    for tb in c.sboxes:
-        for td in c.sdias:
-            yield [((), (tb.left, td.left))], (tb, td)
-
-
-def _dbox(c):
-    for i, f in enumerate(c.boxes):
-        for g in c.boxes[i + 1:]:
-            yield [((f.left, g.left), ())], (f, g)
-
-
-def _ddia(c):
-    for i, t in enumerate(c.sdias):
-        for u in c.sdias[i + 1:]:
-            yield [((), (t.left, u.left))], (t, u)
-
-
-def _nbox(c):
-    for t in c.sboxes:
-        yield [((), (t.left,))], (t,)
-
-
-def _pdia(c):
-    for t in c.sdias:
-        yield [((), (t.left,))], (t,)
-
-
-def _ndia(c):
-    for f in c.dias:
-        yield [((f.left,), ())], (f,)
-
-
-def _pbox(c):
-    for f in c.boxes:
-        yield [((f.left,), ())], (f,)
+        def build(c):
+            for f in get_outer(c):
+                for g in get_inner(c):
+                    pr = (g, f) if flip else (f, g)
+                    subs = pr[0].left, pr[1].left
+                    yield [(subs[k:], subs[:k])], pr
+    else:
+        def build(c):
+            for f in get_outer(c):
+                subs = f.left,
+                yield [(subs[k:], subs[:k])], (f,)
+    return build
 
 
 # --- box-absorbing rules: all antecedent boxes, succedent diamonds ------
@@ -352,17 +336,17 @@ def constructive(rule: Rule) -> Tuple[Rule, ...]:
 _MODAL = (
     Rule("Tbox", _tbox, _ALL, contextual=True, needs=_needs(ant=[BOX])),
     Rule("Tdia", _tdia, _ALL, contextual=True, needs=_needs(suc=[DIA])),
-    Rule("Mbox", _mbox, needs=_needs(ant=[BOX], suc=[BOX])),
-    Rule("Mdia", _mdia, needs=_needs(ant=[DIA], suc=[DIA])),
-    Rule("D", _d, needs=_needs(ant=[BOX], suc=[DIA])),
-    Rule("dualandM", _dualand_m, needs=_needs(ant=[BOX, DIA])),
-    Rule("dualorM", _dualor_m, needs=_needs(suc=[BOX, DIA])),
-    Rule("Dbox", _dbox, needs=_needs(ant=[BOX])),
-    Rule("Ddia", _ddia, needs=_needs(suc=[DIA])),
-    Rule("Nbox", _nbox, needs=_needs(suc=[BOX])),
-    Rule("Ndia", _ndia, needs=_needs(ant=[DIA])),
-    Rule("Pbox", _pbox, needs=_needs(ant=[BOX])),
-    Rule("Pdia", _pdia, needs=_needs(suc=[DIA])),
+    Rule("Mbox", _stripping("boxes", "sboxes"), needs=_needs(ant=[BOX], suc=[BOX])),
+    Rule("Mdia", _stripping("dias", "sdias"), needs=_needs(ant=[DIA], suc=[DIA])),
+    Rule("D", _stripping("boxes", "sdias"), needs=_needs(ant=[BOX], suc=[DIA])),
+    Rule("dualandM", _stripping("boxes", "dias"), needs=_needs(ant=[BOX, DIA])),
+    Rule("dualorM", _stripping("sboxes", "sdias"), needs=_needs(suc=[BOX, DIA])),
+    Rule("Dbox", _stripping("boxes", pairs=True), needs=_needs(ant=[BOX])),
+    Rule("Ddia", _stripping("sdias", pairs=True), needs=_needs(suc=[DIA])),
+    Rule("Nbox", _stripping("sboxes"), needs=_needs(suc=[BOX])),
+    Rule("Ndia", _stripping("dias"), needs=_needs(ant=[DIA])),
+    Rule("Pbox", _stripping("boxes"), needs=_needs(ant=[BOX])),
+    Rule("Pdia", _stripping("sdias"), needs=_needs(suc=[DIA])),
     Rule("Kbox", _kbox, needs=_needs(suc=[BOX])),
     Rule("Cbox", _cbox, needs=_needs(ant=[BOX], suc=[BOX])),
     Rule("Kdia", _kdia, needs=_needs(ant=[DIA])),

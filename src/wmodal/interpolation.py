@@ -56,7 +56,7 @@ def interpolate_derivation(logic: Logic, d: Derivation, part: Partition,
     concl = d.conclusion
     left = frozenset(part.left)
     right = frozenset(part.right)
-    if left | right != set(concl.ant) or not left <= set(concl.ant):
+    if left | right != set(concl.ant):
         raise ValueError("partition does not split the conclusion antecedent")
     c = _interp(d, left)
     return _certify(logic, c, left, set(concl.ant) - left, concl.suc, budget)
@@ -71,10 +71,8 @@ def craig(logic: Logic, a: Formula, b: Formula,
     if not res.proved:
         raise NotATheoremError("%s -> %s is not a theorem of %s"
                                % (syntax.render(a), syntax.render(b), logic.name))
-    d = res.derivation
-    left = frozenset(d.conclusion.ant)   # {a}
-    c = _interp(d, left)
-    return _certify(logic, c, left, frozenset(), d.conclusion.suc, budget)
+    return interpolate_derivation(logic, res.derivation, Partition((a,), ()),
+                                  budget)
 
 
 def _certify(logic, c, left, right, suc, budget) -> InterpolationResult:

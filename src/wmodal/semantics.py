@@ -635,11 +635,22 @@ def _check_nesting(text: str):
             depth -= 1
 
 
+def _unique_keys(pairs) -> dict:
+    """The JSON object of pairs; ValueError on a repeated key, which
+    `json.loads` would read as its last value alone."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError("duplicate key %r" % key)
+        obj[key] = value
+    return obj
+
+
 def model_from_json(text: str):
     """The model of a document model_to_json wrote; ValueError for any
     document that is not one."""
     _check_nesting(text)
-    doc = json.loads(text)
+    doc = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise ValueError("not a version 1 model document")
     if (kind := doc.get("kind")) not in (CLASSICAL, CONSTRUCTIVE):

@@ -12,7 +12,7 @@ from wmodal.calculus import (RuleInstance, Shape, backward_applications,
 from wmodal.logics import (AXIOM_SCHEMAS, LOGICS, expected_axiom_status,
                            get_logic, instantiate_axiom)
 from wmodal.sequents import CLASSICAL, CONSTRUCTIVE, Sequent, parse_sequent
-from wmodal.syntax import (atom, bot, box, conj, dia, disj, imp, neg,
+from wmodal.syntax import (atom, bot, box, conj, dia, disj, imp, neg, parse,
                            subformulas, top)
 
 p, q, r = atom(1), atom(2), atom(3)
@@ -296,6 +296,88 @@ def test_backward_premises_in_subformula_closure():
         for prem in inst.premises:
             for f in prem.ant + prem.suc:
                 assert f in closure
+
+
+# Every instance of the eleven stripping rules (Mbox ... Pdia) at one
+# conclusion, in order: (rule, premise, principals).  MND holds all
+# eleven, WMND their constructive rules.
+_STRIP_ANT = "[]p1, []p2, <>p1, <>p2 |- "
+STRIPPING_INSTANCES = [
+    ("MND", "[]p3, []p1, <>p3, <>p2", [
+        ("Mbox", "p1 |- p1", "[]p1, []p1"),
+        ("Mbox", "p1 |- p3", "[]p3, []p1"),
+        ("Mbox", "p2 |- p1", "[]p1, []p2"),
+        ("Mbox", "p2 |- p3", "[]p3, []p2"),
+        ("Mdia", "p1 |- p2", "<>p2, <>p1"),
+        ("Mdia", "p1 |- p3", "<>p3, <>p1"),
+        ("Mdia", "p2 |- p2", "<>p2, <>p2"),
+        ("Mdia", "p2 |- p3", "<>p3, <>p2"),
+        ("dualandM", "p1 |-", "[]p1, <>p1"),
+        ("dualandM", "p1, p2 |-", "[]p1, <>p2"),
+        ("dualandM", "p1, p2 |-", "[]p2, <>p1"),
+        ("dualandM", "p2 |-", "[]p2, <>p2"),
+        ("dualorM", "|- p1, p2", "[]p1, <>p2"),
+        ("dualorM", "|- p1, p3", "[]p1, <>p3"),
+        ("dualorM", "|- p2, p3", "[]p3, <>p2"),
+        ("dualorM", "|- p3", "[]p3, <>p3"),
+        ("Nbox", "|- p1", "[]p1"),
+        ("Nbox", "|- p3", "[]p3"),
+        ("Ndia", "p1 |-", "<>p1"),
+        ("Ndia", "p2 |-", "<>p2"),
+        ("D", "p1 |- p2", "<>p2, []p1"),
+        ("D", "p1 |- p3", "<>p3, []p1"),
+        ("D", "p2 |- p2", "<>p2, []p2"),
+        ("D", "p2 |- p3", "<>p3, []p2"),
+        ("Dbox", "p1, p2 |-", "[]p1, []p2"),
+        ("Ddia", "|- p2, p3", "<>p2, <>p3"),
+        ("Pbox", "p1 |-", "[]p1"),
+        ("Pbox", "p2 |-", "[]p2"),
+        ("Pdia", "|- p2", "<>p2"),
+        ("Pdia", "|- p3", "<>p3"),
+    ]),
+    ("WMND", "[]p3", [
+        ("iMbox", "p1 |- p3", "[]p3, []p1"),
+        ("iMbox", "p2 |- p3", "[]p3, []p2"),
+        ("idualandM", "p1 |-", "[]p1, <>p1"),
+        ("idualandM", "p1, p2 |-", "[]p1, <>p2"),
+        ("idualandM", "p1, p2 |-", "[]p2, <>p1"),
+        ("idualandM", "p2 |-", "[]p2, <>p2"),
+        ("iNbox", "|- p3", "[]p3"),
+        ("iNdia", "p1 |-", "<>p1"),
+        ("iNdia", "p2 |-", "<>p2"),
+        ("iDbox", "p1, p2 |-", "[]p1, []p2"),
+        ("iPbox", "p1 |-", "[]p1"),
+        ("iPbox", "p2 |-", "[]p2"),
+    ]),
+    ("WMND", "<>p3", [
+        ("iMdia", "p1 |- p3", "<>p3, <>p1"),
+        ("iMdia", "p2 |- p3", "<>p3, <>p2"),
+        ("idualandM", "p1 |-", "[]p1, <>p1"),
+        ("idualandM", "p1, p2 |-", "[]p1, <>p2"),
+        ("idualandM", "p1, p2 |-", "[]p2, <>p1"),
+        ("idualandM", "p2 |-", "[]p2, <>p2"),
+        ("iNdia", "p1 |-", "<>p1"),
+        ("iNdia", "p2 |-", "<>p2"),
+        ("iD", "p1 |- p3", "<>p3, []p1"),
+        ("iD", "p2 |- p3", "<>p3, []p2"),
+        ("iDbox", "p1, p2 |-", "[]p1, []p2"),
+        ("iPbox", "p1 |-", "[]p1"),
+        ("iPbox", "p2 |-", "[]p2"),
+        ("iPdia", "|- p3", "<>p3"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("name,suc,expected", STRIPPING_INSTANCES,
+                         ids=["MND", "WMND-box", "WMND-dia"])
+def test_stripping_rule_instances_pinned(name, suc, expected):
+    logic = get_logic(name)
+    insts = backward_applications(logic,
+                                  parse_sequent(_STRIP_ANT + suc, logic.mode))
+    assert [(i.rule, i.premises, i.principal) for i in insts] == [
+        (rule, (parse_sequent(prem, logic.mode),),
+         tuple(parse(f) for f in principal.split(", ")))
+        for rule, prem, principal in expected]
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,16 @@ def test_check_model_malformed_document_exit_64(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_check_model_duplicate_key_exit_64(tmp_path, capsys):
+    # Written as text: json.dumps cannot repeat a key.
+    path = tmp_path / "model.json"
+    path.write_text('{"version": 1, "kind": "classical", "worlds": [0], '
+                    '"neighbourhoods": {"0": [[0]], "0": []}, '
+                    '"valuation": {"p1": [0], "p1": []}}')
+    assert cli.main(["check-model", "--logic", "M", str(path)]) == 64
+    assert "duplicate key '0'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["p0", "p-1", "p01", "p 1", "p1_0", "p１"])
 def test_check_model_atom_key_that_names_no_atom_exit_64(tmp_path, capsys,
                                                          key):

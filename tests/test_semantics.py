@@ -567,6 +567,21 @@ def test_json_rejects_keys_that_name_no_world(key):
         model_from_json(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    '{"version": 1, "kind": "classical", "kind": "constructive", '
+    '"worlds": [0], "neighbourhoods": {}}',
+    '{"version": 1, "kind": "classical", "worlds": [0], '
+    '"neighbourhoods": {"0": [[0]], "0": []}}',
+    '{"version": 1, "kind": "classical", "worlds": [0], '
+    '"neighbourhoods": {}, "valuation": {"p1": [0], "p1": []}}',
+], ids=["top-level", "neighbourhood", "valuation"])
+def test_json_rejects_duplicate_keys(doc):
+    # json.loads keeps a repeated key's last value, so the model loaded
+    # would not be the one the document states first.
+    with pytest.raises(ValueError, match="duplicate key"):
+        model_from_json(doc)
+
+
 def test_json_nesting_limit_skips_strings():
     m = random_model(get_logic("WMN"), 3, seed=2)
     text = model_to_json(m)
