@@ -4,7 +4,8 @@
 Decides every formula up to a given AST size (over a small atom
 alphabet) in every logic, reporting per-logic timing, theorem counts and
 how many decisions the store shared by the logics of a mode answered
-without search.
+without search, and, at the end, the sizes of the caches
+(`prover.cache_sizes`).
 This is the operational check that backward search halts on the whole
 small-formula space without hitting budgets.
 
@@ -58,6 +59,8 @@ def main() -> int:
               % (name, theorems, stored, time.monotonic() - t0))
     print("total %.1fs, %d budget overruns" % (time.monotonic() - grand_start,
                                                overruns))
+    print("caches: " + ", ".join("%s %d" % kv
+                                 for kv in prover.cache_sizes().items()))
     return 1 if overruns else 0
 
 

@@ -34,10 +34,10 @@ import time
 from collections import Counter
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
-from . import calculus
+from . import calculus, sequents, syntax
 from .calculus import RULES, RuleInstance, Shape
 from .logics import Logic
-from .sequents import CONSTRUCTIVE, Sequent
+from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent
 from .syntax import Formula
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
@@ -231,7 +231,9 @@ class Engine:
         self._max_nodes = budget.max_nodes
         self._start = time.monotonic()
         self._deadline = self._start + budget.timeout_secs
-        deriv, _ = self._search(seq, set())
+        # `_search` without its store lookup, which just missed.
+        self._tick()
+        deriv, _ = self._expand(seq, {seq})
         stats = SearchStats(self._nodes, self._blocks,
                             time.monotonic() - self._start)
         return ProofResult(deriv is not None, deriv, stats)
@@ -332,15 +334,14 @@ class Engine:
         return e
 
 
-_stores: Dict[str, Store] = {}
+_stores: Dict[str, Store] = {CLASSICAL: Store(), CONSTRUCTIVE: Store()}
 _engines: Dict[str, Engine] = {}
 
 
 def engine_for(logic: Logic) -> Engine:
     eng = _engines.get(logic.name)
     if eng is None:
-        store = _stores.setdefault(logic.mode, Store())
-        eng = _engines[logic.name] = Engine(logic, store)
+        eng = _engines[logic.name] = Engine(logic, _stores[logic.mode])
     return eng
 
 
@@ -387,6 +388,22 @@ def check(logic: Logic, d: Derivation) -> bool:
 
 
 def clear_caches():
-    """Forget every derivation and failure found so far."""
+    """Forget every derivation and failure found so far, and every
+    interned sequent: a new epoch begins.  A sequent or derivation kept
+    from an earlier epoch stays valid; its sequents equal, but are not,
+    those built after."""
     for store in _stores.values():
         store.clear()
+    sequents._intern.clear()
+
+
+def cache_sizes() -> Dict[str, int]:
+    """The entries each cache holds: interned formulas, which live for
+    the process, sequents interned since the last `clear_caches()`, and
+    each mode's stored derivations and failures."""
+    sizes = {"formulas": len(syntax._intern),
+             "sequents": len(sequents._intern)}
+    for mode, store in _stores.items():
+        sizes[mode + ".proved"] = sum(map(len, store.proved.values()))
+        sizes[mode + ".failed"] = sum(map(len, store.failed.values()))
+    return sizes

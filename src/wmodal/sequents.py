@@ -7,6 +7,12 @@ calculus used here, a `Sequent` stores its sides normalized when it is
 built: duplicate-free and in canonical order (`norm_side`).  Two sequents
 with the same sets of formulas on each side are therefore equal, which
 search caches, loop checks, step checking and certificates rely on.
+
+Sequents are hash-consed per epoch, as formulas are for good: building
+a sequent equal to one built since the last `prover.clear_caches()`
+returns that object, so the store and the ancestor sets of search find
+it by identity.  Equality stays structural, so a sequent built in an
+earlier epoch still equals, and finds as a key, its twin of this one.
 """
 
 from __future__ import annotations
@@ -34,25 +40,40 @@ def norm_side(fs: Iterable[Formula]) -> Tuple[Formula, ...]:
     return tuple(sorted(set(fs), key=_order))
 
 
+# The sequents built in this epoch, by (ant, suc, mode) with normalized
+# sides; `prover.clear_caches` empties it with the stores it serves.
+_intern: dict = {}
+
+
 class Sequent:
     """ant |- suc in mode.  Either side may be given as any iterable of
     formulas; it is stored normalized by `norm_side`.  Immutable; equal
-    only to a `Sequent` with the same sides and mode."""
+    only to a `Sequent` with the same sides and mode.  Interned until the
+    next `prover.clear_caches()`: within an epoch, equal sequents are the
+    same object."""
 
     # Search hashes every sequent it meets several times; hash it once.
     __slots__ = ("ant", "suc", "mode", "_hash")
 
-    def __init__(self, ant: Iterable[Formula], suc: Iterable[Formula],
-                 mode: str):
+    def __new__(cls, ant: Iterable[Formula], suc: Iterable[Formula],
+                mode: str):
+        ant, suc = norm_side(ant), norm_side(suc)
+        key = (ant, suc, mode)
+        seq = _intern.get(key)
+        if seq is not None:
+            return seq
+        # Only a valid sequent enters the table, so a hit needs no check.
         if mode not in (CLASSICAL, CONSTRUCTIVE):
             raise ValueError("unknown mode %r" % mode)
-        ant, suc = norm_side(ant), norm_side(suc)
         if mode == CONSTRUCTIVE and len(suc) > 1:
             raise ValueError("constructive sequents have at most one succedent")
-        _set(self, "ant", ant)
-        _set(self, "suc", suc)
-        _set(self, "mode", mode)
-        _set(self, "_hash", hash((ant, suc, mode)))
+        seq = object.__new__(cls)
+        _set(seq, "ant", ant)
+        _set(seq, "suc", suc)
+        _set(seq, "mode", mode)
+        _set(seq, "_hash", hash(key))
+        _intern[key] = seq
+        return seq
 
     def __setattr__(self, name, value=None):
         # Imported here: `dataclasses` loads `inspect` and `ast`, which
@@ -62,6 +83,8 @@ class Sequent:
 
     __delattr__ = __setattr__
 
+    # Structural, for a sequent that outlives a `prover.clear_caches()`;
+    # within an epoch, dict and set lookups match by identity first.
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

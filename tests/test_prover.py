@@ -331,6 +331,21 @@ def test_cache_sizes_count_the_entries_each_logic_can_use():
         prover.clear_caches()
 
 
+def test_clear_caches_empties_sequents_and_stores_but_keeps_formulas():
+    prover.clear_caches()
+    for name, text in (("WK", "p1 | ~p1"), ("WK", "[]p1 -> []p1"),
+                       ("K", "[]p1 -> p1"), ("K", "p1 | ~p1")):
+        decide(get_logic(name), parse(text))
+    sizes = prover.cache_sizes()
+    assert set(sizes) == {"formulas", "sequents", "classical.proved",
+                          "classical.failed", "constructive.proved",
+                          "constructive.failed"}
+    assert min(sizes.values()) > 0, sizes
+    prover.clear_caches()
+    after = prover.cache_sizes()
+    assert after == dict.fromkeys(sizes, 0) | {"formulas": sizes["formulas"]}
+
+
 def test_stored_proof_is_returned_without_search():
     # M's derivation uses Rimp, Mbox and init, which MN has: MN gets the
     # same object with zero stats, even with no node to spend.

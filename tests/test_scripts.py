@@ -30,6 +30,9 @@ def test_termination_sweep_counts_decisions_answered_from_store():
     assert [r[0] for r in rows] == ["K", "KT"], proc.stdout.decode()
     # KT has every rule of K, so K's stored derivations serve it.
     assert int(rows[1][2]) > 0
+    sizes = re.findall(r"^caches: formulas (\d+), sequents (\d+), ",
+                       proc.stdout.decode(), re.M)
+    assert len(sizes) == 1 and min(map(int, sizes[0])) > 0, proc.stdout.decode()
 
 
 def test_countermodel_sweep_prints_a_row_per_logic():

@@ -11,7 +11,8 @@ import sys
 import pytest
 
 import wmodal
-from wmodal import sampling
+from wmodal import prover, sampling, sequents
+from wmodal.logics import get_logic
 from wmodal.sequents import (CLASSICAL, CONSTRUCTIVE, Sequent, interpret,
                              norm_side, parse_sequent)
 from wmodal.syntax import (AND, ATOM, BOT, BOX, DIA, IMP, OR, ParseError, atom,
@@ -163,11 +164,49 @@ def test_sequent_is_a_record_not_a_tuple():
 
 
 # ---------------------------------------------------------------------------
-# modes
+# interning: equal sequents are one object until prover.clear_caches()
+
+def test_equal_sequents_of_one_epoch_are_one_object():
+    a = Sequent((p2, p1, p2), (q, q), CONSTRUCTIVE)
+    assert Sequent([p1, p1, p2], iter((q,)), CONSTRUCTIVE) is a
+    assert Sequent((p1, p2), (q,), CLASSICAL) is not a
+
+
+def test_sequent_built_before_clear_caches_equals_its_twin_after():
+    old = Sequent((p2, p1), (q,), CONSTRUCTIVE)
+    prover.clear_caches()
+    new = Sequent((p1, p2), (q,), CONSTRUCTIVE)
+    assert new is not old
+    assert new == old and old == new and hash(new) == hash(old)
+    assert {new: 1}[old] == 1 and {old: 1}[new] == 1
+    assert Sequent((p1, p2), (q,), CONSTRUCTIVE) is new
+
+
+def test_check_accepts_a_derivation_found_before_clear_caches():
+    # check rebuilds each step's premises, in the new epoch.
+    wk = get_logic("WK")
+    d = prover.prove(wk, prover.goal(wk, parse("[](p1 -> p2) -> []p1 -> []p2"))
+                     ).derivation
+    assert d.height > 2
+    prover.clear_caches()
+    assert prover.check(wk, d)
+
+
+def test_pickle_returns_the_interned_sequent():
+    a = Sequent((p2, p1), (q,), CONSTRUCTIVE)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(a, protocol)) is a
+
+
+# ---------------------------------------------------------------------------
+# modes: an invalid sequent raises each time it is built and is not interned
 
 def test_constructive_single_succedent_enforced():
-    with pytest.raises(ValueError):
-        Sequent((), (p1, p2), CONSTRUCTIVE)
+    size = len(sequents._intern)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            Sequent((), (p1, p2), CONSTRUCTIVE)
+    assert len(sequents._intern) == size
 
 
 def test_constructive_duplicate_succedent_allowed():
@@ -177,8 +216,11 @@ def test_constructive_duplicate_succedent_allowed():
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        Sequent((), (), "modal")
+    size = len(sequents._intern)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            Sequent((), (), "modal")
+    assert len(sequents._intern) == size
 
 
 # ---------------------------------------------------------------------------
