@@ -47,6 +47,9 @@ def main() -> int:
         ap.error("--max-worlds must be 1 to %d" % semantics.MAX_WORLDS)
 
     names = args.logics.split(",") if args.logics else sorted(LOGICS)
+    unknown = [name for name in names if name not in LOGICS]
+    if unknown:
+        ap.error("unknown logic %r" % unknown[0])
     space = sampling.formulas_up_to_size(args.max_size, args.num_atoms)
     worlds = range(1, args.max_worlds + 1)
     print("sweeping %d formulas (size <= %d, %d atoms) over %d logics, "

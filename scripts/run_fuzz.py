@@ -27,8 +27,12 @@ def main() -> int:
     ap.add_argument("--inclusions", action="store_true",
                     help="also run the lattice inclusion suites")
     args = ap.parse_args()
-
+    if args.count < 0:
+        ap.error("--count must be 0 or more")
     names = args.logics.split(",") if args.logics else sorted(LOGICS)
+    unknown = [name for name in names if name not in LOGICS]
+    if unknown:
+        ap.error("unknown logic %r" % unknown[0])
     t0 = time.monotonic()
     violations = suites.fuzz(args.seed, args.count, names)
     if args.inclusions:

@@ -37,6 +37,9 @@ def main() -> int:
     except ValueError as e:
         ap.error(str(e))
     names = args.logics.split(",") if args.logics else sorted(LOGICS)
+    unknown = [name for name in names if name not in LOGICS]
+    if unknown:
+        ap.error("unknown logic %r" % unknown[0])
     space = sampling.formulas_up_to_size(args.max_size, args.num_atoms)
     print("sweeping %d formulas (size <= %d, %d atoms) over %d logics"
           % (len(space), args.max_size, args.num_atoms, len(names)))

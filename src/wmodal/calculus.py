@@ -409,14 +409,14 @@ def fitting(c: Shape) -> int:
 def instances(rule: Rule, c: Shape, seq: Optional[Sequent] = None):
     """The (premises, principal) instances of rule at c that have a
     principal formula, with the premises as `Sequent`s.  Given the
-    sequent seq that c classifies, backward search skips as well the
-    instance with seq as its only premise (a T rule whose copy is already
-    there), which makes no progress; `check_step` accepts it.
+    sequent seq of this epoch that c classifies, backward search skips
+    the instance with seq as its only premise (a T rule whose copy is
+    already there), which makes no progress; `check_step` accepts it.
     """
     for prems, principal in rule.build(c):
         if principal:
             prems = tuple(Sequent(a, s, c.mode) for a, s in prems)
-            if prems != (seq,):
+            if len(prems) != 1 or prems[0] is not seq:
                 yield prems, principal
 
 
@@ -424,6 +424,8 @@ def backward_applications(logic: Logic, seq: Sequent) -> List[RuleInstance]:
     """All backward instances of logic's rules at seq, in a fixed order."""
     if seq.mode != logic.mode:
         raise ValueError("sequent mode %r does not match logic %s" % (seq.mode, logic))
+    # Of this epoch, for the T-rule skip of `instances`.
+    seq = Sequent(seq.ant, seq.suc, seq.mode)
     c = Shape(seq.mode, seq.ant, seq.suc)
     fits = fitting(c)
     return [RuleInstance(name, seq, prems, principal)

@@ -7,8 +7,8 @@ rule instance whose premise already occurs on the current branch.  The
 rules tried at a node are looked up by the formula kinds of its sides
 (`calculus.fitting`).
 
-The 14 logics of a mode share one `Store` of results, sets of rules
-being ints of `calculus.BITS`:
+The 14 logics of a mode share the results search keeps on each sequent
+(`Sequent.found`), sets of rules being ints of `calculus.BITS`:
 
 - a derivation records the rules it uses, and serves every logic that
   has them all;
@@ -163,43 +163,27 @@ class ProofResult(NamedTuple):
     stats: SearchStats
 
 
-# The stats of a goal that the store answers without search, and the
+# The stats of a goal that its results answer without search, and the
 # result when it answers with a failure.
 _UNSEARCHED = SearchStats()
 _REFUTED = ProofResult(False, None, _UNSEARCHED)
 
 
-# A pure failure, as the store keeps it: (F, X, C), where F holds the rules
-# that fit some node of the failed subtree, X those of F that the failing
-# logic lacks, and C the invertible rules it committed to.
+# A pure failure, as `Sequent.found` keeps it: (F, X, C), where F holds
+# the rules that fit some node of the failed subtree, X those of F that
+# the failing logic lacks, and C the invertible rules it committed to.
 Failure = Tuple[int, int, int]
 
-
-class Store:
-    """The derivations and pure failures that the logics of one mode found,
-    by conclusion: each a tuple of the entries found for it."""
-
-    def __init__(self):
-        self.proved: Dict[Sequent, Tuple[Derivation, ...]] = {}
-        self.failed: Dict[Sequent, Tuple[Failure, ...]] = {}
-        # Few distinct failures and failure tuples occur: keep one of each.
-        self._shared: Dict[tuple, tuple] = {}
-
-    def share(self, value: tuple) -> tuple:
-        return self._shared.setdefault(value, value)
-
-    def clear(self):
-        self.proved.clear()
-        self.failed.clear()
-        self._shared.clear()
+# Few distinct failures and `found` tuples occur: keep one of each.
+_shared: Dict[tuple, tuple] = {}
+_set = object.__setattr__
 
 
 class Engine:
-    """Search engine of one logic over the store of its mode."""
+    """Search engine of one logic over the results of its mode."""
 
-    def __init__(self, logic: Logic, store: Store):
+    def __init__(self, logic: Logic):
         self.logic = logic
-        self.store = store
         mode = logic.mode
         # (rule, bit, commit) in the order search tries them: the
         # invertible rules in table order, closure first, committing to
@@ -217,11 +201,14 @@ class Engine:
         self._table: Dict[int, tuple] = {}
 
     # -- public -----------------------------------------------------------
-    # The stored sequents whose derivation, or failure, serves this logic.
-    proved = property(lambda self: self._served(self.store.proved, 0))
-    failed = property(lambda self: self._served(self.store.failed, 1))
+    # The interned sequents whose derivation, or failure, serves this logic.
+    proved = property(lambda self: self._served(0))
+    failed = property(lambda self: self._served(1))
 
     def prove(self, seq: Sequent, budget: Budget = Budget()) -> ProofResult:
+        # A kept goal is the only retired sequent that can reach search.
+        if seq.found is None:
+            seq = Sequent(seq.ant, seq.suc, seq.mode)
         found = self._stored(seq)
         if found is not None:
             d = found[0]
@@ -231,29 +218,30 @@ class Engine:
         self._max_nodes = budget.max_nodes
         self._start = time.monotonic()
         self._deadline = self._start + budget.timeout_secs
-        # `_search` without its store lookup, which just missed.
-        self._tick()
-        deriv, _ = self._expand(seq, {seq})
+        deriv, _ = self._search(seq, set())
         stats = SearchStats(self._nodes, self._blocks,
                             time.monotonic() - self._start)
         return ProofResult(deriv is not None, deriv, stats)
 
     # -- internals --------------------------------------------------------
     def _stored(self, seq: Sequent):
-        """(derivation, None) or (None, failure) for a stored entry that
-        serves this logic, else None.  A derivation serves when this logic
-        has all its rules; a failure when it has none of X and all of C."""
+        """(derivation, None) or (None, failure) for an entry of seq.found
+        that serves this logic, else None: a derivation when this logic has
+        all its rules, a failure when it has none of X and all of C; never
+        both kinds."""
         mask = self.mask
-        for d in self.store.proved.get(seq, ()):
-            if not d.mask & ~mask:
-                return d, None
-        for e in self.store.failed.get(seq, ()):
-            if not (e[1] & mask or e[2] & ~mask):
-                return None, e
+        for x in seq.found:
+            if x.__class__ is Derivation:
+                if not x.mask & ~mask:
+                    return x, None
+            elif not (x[1] & mask or x[2] & ~mask):
+                return None, x
         return None
 
-    def _served(self, table: dict, i: int) -> set:
-        return {seq for seq in table if (self._stored(seq) or (None, None))[i]}
+    def _served(self, i: int) -> set:
+        mode = self.logic.mode
+        return {seq for seq in sequents._intern.values()
+                if seq.mode == mode and (self._stored(seq) or (None, None))[i]}
 
     def _tick(self):
         self._nodes += 1
@@ -307,8 +295,7 @@ class Engine:
                     kids.append(d)
                 else:
                     d = Derivation(rule.name, seq, principal, tuple(kids))
-                    proved = self.store.proved
-                    proved[seq] = proved.get(seq, ()) + (d,)
+                    _set(seq, "found", seq.found + (d,))
                     return d, None
                 if commit:
                     # Committing to any unblocked instance of an invertible
@@ -328,20 +315,21 @@ class Engine:
         return None, None
 
     def _fail(self, seq: Sequent, fitted: int, committed: int) -> Failure:
-        store = self.store
-        e = store.share((fitted, fitted & ~self.mask, committed))
-        store.failed[seq] = store.share(store.failed.get(seq, ()) + (e,))
+        share = _shared.setdefault
+        e = (fitted, fitted & ~self.mask, committed)
+        e = share(e, e)
+        found = seq.found + (e,)
+        _set(seq, "found", share(found, found))
         return e
 
 
-_stores: Dict[str, Store] = {CLASSICAL: Store(), CONSTRUCTIVE: Store()}
 _engines: Dict[str, Engine] = {}
 
 
 def engine_for(logic: Logic) -> Engine:
     eng = _engines.get(logic.name)
     if eng is None:
-        eng = _engines[logic.name] = Engine(logic, _stores[logic.mode])
+        eng = _engines[logic.name] = Engine(logic)
     return eng
 
 
@@ -349,9 +337,9 @@ def prove(logic: Logic, seq: Sequent, budget: Budget = Budget()) -> ProofResult:
     """Decide derivability of seq in logic's calculus.
 
     Raises BudgetExceeded when the search budget runs out; a returned
-    result is definitive either way.  A goal the store already answers
-    for logic is returned without search, with zero stats, whatever the
-    budget.
+    result is definitive either way.  A goal whose results already
+    answer for logic is returned without search, with zero stats,
+    whatever the budget.
     """
     if (seq.mode == CONSTRUCTIVE) != (logic.mode == CONSTRUCTIVE):
         raise ValueError("sequent mode %r does not match logic %s"
@@ -389,21 +377,24 @@ def check(logic: Logic, d: Derivation) -> bool:
 
 def clear_caches():
     """Forget every derivation and failure found so far, and every
-    interned sequent: a new epoch begins.  A sequent or derivation kept
-    from an earlier epoch stays valid; its sequents equal, but are not,
-    those built after."""
-    for store in _stores.values():
-        store.clear()
-    sequents._intern.clear()
+    interned sequent: a new epoch begins (`sequents.new_epoch`).  A
+    sequent or derivation kept from an earlier epoch stays valid; its
+    sequents equal, but are not, those built after, and a kept goal is
+    searched again."""
+    sequents.new_epoch()
+    _shared.clear()
 
 
 def cache_sizes() -> Dict[str, int]:
     """The entries each cache holds: interned formulas, which live for
     the process, sequents interned since the last `clear_caches()`, and
-    each mode's stored derivations and failures."""
+    the derivations and failures found for them, by mode."""
     sizes = {"formulas": len(syntax._intern),
              "sequents": len(sequents._intern)}
-    for mode, store in _stores.items():
-        sizes[mode + ".proved"] = sum(map(len, store.proved.values()))
-        sizes[mode + ".failed"] = sum(map(len, store.failed.values()))
+    for mode in (CLASSICAL, CONSTRUCTIVE):
+        sizes[mode + ".proved"] = sizes[mode + ".failed"] = 0
+    for seq in sequents._intern.values():
+        for x in seq.found:
+            kind = ".proved" if x.__class__ is Derivation else ".failed"
+            sizes[seq.mode + kind] += 1
     return sizes

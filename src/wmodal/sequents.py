@@ -10,13 +10,16 @@ search caches, loop checks, step checking and certificates rely on.
 
 Sequents are hash-consed per epoch, as formulas are for good: building
 a sequent equal to one built since the last `prover.clear_caches()`
-returns that object, so the store and the ancestor sets of search find
-it by identity.  Equality stays structural, so a sequent built in an
-earlier epoch still equals, and finds as a key, its twin of this one.
+returns that object, which search finds by identity and whose `found`
+field keeps what search found about it (Filliâtre & Conchon, "Type-safe
+modular hash-consing", ML 2006).  `new_epoch` retires every interned
+sequent and empties the table.  Equality stays structural, so a retired
+sequent still equals, and finds as a key, its twin of this epoch.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import attrgetter
 from typing import Iterable, Tuple
 
@@ -41,19 +44,21 @@ def norm_side(fs: Iterable[Formula]) -> Tuple[Formula, ...]:
 
 
 # The sequents built in this epoch, by (ant, suc, mode) with normalized
-# sides; `prover.clear_caches` empties it with the stores it serves.
+# sides; `new_epoch` retires them and empties it.
 _intern: dict = {}
 
 
 class Sequent:
     """ant |- suc in mode.  Either side may be given as any iterable of
-    formulas; it is stored normalized by `norm_side`.  Immutable; equal
-    only to a `Sequent` with the same sides and mode.  Interned until the
-    next `prover.clear_caches()`: within an epoch, equal sequents are the
-    same object."""
+    formulas; it is stored normalized by `norm_side`.  Equal only to a
+    `Sequent` with the same sides and mode.  Interned until the next
+    `prover.clear_caches()`: within an epoch, equal sequents are the same
+    object.  Immutable but for `found`, the derivations and failures
+    search found for it this epoch, in that order, or None once retired;
+    only `prover` writes it, and equality, hashing and pickling ignore it."""
 
     # Search hashes every sequent it meets several times; hash it once.
-    __slots__ = ("ant", "suc", "mode", "_hash")
+    __slots__ = ("ant", "suc", "mode", "_hash", "found")
 
     def __new__(cls, ant: Iterable[Formula], suc: Iterable[Formula],
                 mode: str):
@@ -72,6 +77,7 @@ class Sequent:
         _set(seq, "suc", suc)
         _set(seq, "mode", mode)
         _set(seq, "_hash", hash(key))
+        _set(seq, "found", ())
         _intern[key] = seq
         return seq
 
@@ -111,26 +117,23 @@ class Sequent:
         return "%s |- %s" % (left, right)
 
 
+def new_epoch():
+    """Retire every interned sequent (`found` None); empty the table."""
+    for seq in _intern.values():
+        _set(seq, "found", None)
+    _intern.clear()
+
+
 def interpret(seq: Sequent) -> Formula:
     """Formula reading of a sequent: conj(ant) -> disj(suc).
 
     The empty disjunction is bot; an empty antecedent contributes no
     implication.  Both folds follow the canonical side order.
     """
-    suc = seq.suc
-    if not suc:
-        rhs = syntax.bot
-    else:
-        rhs = suc[0]
-        for f in suc[1:]:
-            rhs = syntax.disj(rhs, f)
-    ant = seq.ant
-    if not ant:
+    rhs = reduce(syntax.disj, seq.suc) if seq.suc else syntax.bot
+    if not seq.ant:
         return rhs
-    lhs = ant[0]
-    for f in ant[1:]:
-        lhs = syntax.conj(lhs, f)
-    return syntax.imp(lhs, rhs)
+    return syntax.imp(reduce(syntax.conj, seq.ant), rhs)
 
 
 def parse_sequent(text: str, mode: str) -> Sequent:

@@ -238,6 +238,9 @@ def fuzz(seed: int, count: Optional[int] = None,
          logics: Optional[Sequence[str]] = None) -> List[str]:
     """The property suites over the named logics (default all 28), each
     run count times, or its own number of times when count is None."""
+    if count is not None and count < 0:
+        raise ValueError("count must be 0 or more: %d" % count)
+
     def times(default):
         return default if count is None else count
 

@@ -6,7 +6,7 @@ import zlib
 import pytest
 from test_interpolation import RULE_CONCLUSIONS
 
-from wmodal import calculus, sampling, suites
+from wmodal import calculus, prover, sampling, suites
 from wmodal.calculus import (RuleInstance, Shape, backward_applications,
                              check_step)
 from wmodal.logics import (AXIOM_SCHEMAS, LOGICS, expected_axiom_status,
@@ -284,6 +284,20 @@ def test_backward_ror_one_instance_per_disjunct():
     insts = [i for i in backward_applications(wm, goal) if i.rule == "Ror"]
     assert len(insts) == 2
     assert {i.premises[0].suc[0] for i in insts} == {p, q}
+
+
+@pytest.mark.parametrize("name, rule", [("MT", "Tbox"), ("WMT", "iTbox")])
+def test_backward_skips_the_t_rule_self_loop(name, rule):
+    # At []p1, p1 |- p2 the one T instance has its conclusion as premise;
+    # a sequent kept from before clear_caches is skipped alike.
+    logic = get_logic(name)
+    kept = parse_sequent("[]p1, p1 |- p2", logic.mode)
+    prover.clear_caches()
+    for seq in (kept, parse_sequent("[]p1, p1 |- p2", logic.mode)):
+        assert backward_applications(logic, seq) == []
+    insts = backward_applications(logic,
+                                  parse_sequent("[]p1 |- p2", logic.mode))
+    assert [i.rule for i in insts] == [rule]
 
 
 def test_backward_premises_in_subformula_closure():

@@ -341,6 +341,12 @@ def test_fuzz_count_zero_runs_no_iteration(capsys, monkeypatch):
     assert structured_lines(out)[-1]["violations"] == 0
 
 
+def test_fuzz_negative_count_exit_64(capsys):
+    assert cli.main(["fuzz", "--logic", "WM", "--count", "-1"]) == 64
+    captured = capsys.readouterr()
+    assert "must be 0 or more" in captured.err and captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # usage and budget errors
 

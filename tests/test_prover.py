@@ -346,6 +346,25 @@ def test_clear_caches_empties_sequents_and_stores_but_keeps_formulas():
     assert after == dict.fromkeys(sizes, 0) | {"formulas": sizes["formulas"]}
 
 
+def test_goal_kept_across_clear_caches_is_searched_again():
+    # clear_caches retires the goal with its results: no stale entry of
+    # the earlier epoch answers it.
+    k = get_logic("K")
+    seq = prover.goal(k, parse("[]p1 -> []p1"))
+    prover.clear_caches()
+    try:
+        assert prove(k, seq).stats.nodes > 0
+        assert seq in prover.engine_for(k).proved
+        prover.clear_caches()
+        assert seq.found is None
+        assert seq not in prover.engine_for(k).proved
+        res = prove(k, seq)
+        assert res.proved and res.stats.nodes > 0
+        assert seq in prover.engine_for(k).proved
+    finally:
+        prover.clear_caches()
+
+
 def test_stored_proof_is_returned_without_search():
     # M's derivation uses Rimp, Mbox and init, which MN has: MN gets the
     # same object with zero stats, even with no node to spend.

@@ -71,6 +71,26 @@ def test_countermodel_sweep_rejects_worlds_past_the_search(worlds):
     assert proc.stdout == b""
 
 
+@pytest.mark.parametrize("script, args", [
+    ("termination_sweep.py", ["--max-size", "1"]),
+    ("countermodel_sweep.py", ["--max-size", "1"]),
+    ("run_fuzz.py", ["--count", "1"]),
+])
+def test_script_rejects_unknown_logic(script, args):
+    # Exit 1 would read as a disagreement or a violation.
+    proc = run_script(script, *args, "--logics", "K,XX")
+    assert proc.returncode == 2
+    assert "unknown logic 'XX'" in proc.stderr.decode()
+    assert proc.stdout == b""
+
+
+def test_run_fuzz_rejects_negative_count():
+    proc = run_script("run_fuzz.py", "--count", "-3", "--logics", "WM")
+    assert proc.returncode == 2
+    assert "--count must be 0 or more" in proc.stderr.decode()
+    assert proc.stdout == b""
+
+
 def run_script(script, *args):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     return subprocess.run(
