@@ -43,6 +43,10 @@ def main() -> int:
     ap.add_argument("--logics", default=None,
                     help="comma-separated subset (default: all 28)")
     args = ap.parse_args()
+    if args.max_size < 1:
+        ap.error("--max-size must be 1 or more")
+    if args.num_atoms < 0:
+        ap.error("--num-atoms must be 0 or more")
     if not 1 <= args.max_worlds <= semantics.MAX_WORLDS:
         ap.error("--max-worlds must be 1 to %d" % semantics.MAX_WORLDS)
 

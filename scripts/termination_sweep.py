@@ -31,6 +31,10 @@ def main() -> int:
     ap.add_argument("--timeout-secs", type=float,
                     default=prover.DEFAULT_TIMEOUT_SECS)
     args = ap.parse_args()
+    if args.max_size < 1:
+        ap.error("--max-size must be 1 or more")
+    if args.num_atoms < 0:
+        ap.error("--num-atoms must be 0 or more")
 
     try:
         budget = prover.Budget(args.max_nodes, args.timeout_secs)

@@ -2,8 +2,9 @@
 
 The engine explores set-normalized sequents depth-first.  Invertible
 rules are applied eagerly with commitment; the remaining rules are
-choice points explored with backtracking.  Loops are cut by blocking any
-rule instance whose premise already occurs on the current branch.  The
+choice points explored with backtracking, one Python frame per branch
+level.  Loops are cut by `Sequent.on_branch`, which marks the nodes of
+the current branch: an instance with a marked premise is blocked.  The
 rules tried at a node are looked up by the formula kinds of its sides
 (`calculus.fitting`).
 
@@ -218,7 +219,7 @@ class Engine:
         self._max_nodes = budget.max_nodes
         self._start = time.monotonic()
         self._deadline = self._start + budget.timeout_secs
-        deriv, _ = self._search(seq, set())
+        deriv, _ = self._search(seq)
         stats = SearchStats(self._nodes, self._blocks,
                             time.monotonic() - self._start)
         return ProofResult(deriv is not None, deriv, stats)
@@ -252,20 +253,6 @@ class Engine:
             raise BudgetExceeded("timeout", self._nodes,
                                  time.monotonic() - self._start)
 
-    def _search(self, seq: Sequent, anc: set):
-        """Returns (derivation, None), or (None, failure) for a pure
-        failure, one established without any ancestor block, which may
-        be stored, or (None, None) for any other failure."""
-        found = self._stored(seq)
-        if found is not None:
-            return found
-        self._tick()
-        # A budget overrun ends the search, and anc with it.
-        anc.add(seq)
-        result = self._expand(seq, anc)
-        anc.discard(seq)
-        return result
-
     def _steps(self, fits: int) -> tuple:
         """This logic's (rule, bit, commit) whose rule is in fits."""
         fits &= self.mask
@@ -275,44 +262,56 @@ class Engine:
                                               if s[1] & fits)
         return steps
 
-    def _expand(self, seq: Sequent, anc: set):
-        c = Shape(seq.mode, seq.ant, seq.suc)
-        fits = calculus.fitting(c)
-        # The union of the failed premises' F and C, for a pure failure.
-        f_all, c_all = fits, 0
-        pure = True
-        for rule, bit, commit in self._steps(fits):
-            for prems, principal in calculus.instances(rule, c, seq):
-                if any(p in anc for p in prems):
-                    pure = False
-                    self._blocks += 1
-                    continue
-                kids = []
-                for p in prems:
-                    d, e = self._search(p, anc)
-                    if d is None:
-                        break
-                    kids.append(d)
-                else:
-                    d = Derivation(rule.name, seq, principal, tuple(kids))
-                    _set(seq, "found", seq.found + (d,))
-                    return d, None
-                if commit:
-                    # Committing to any unblocked instance of an invertible
-                    # rule is complete, and a pure failure of its premises
-                    # refutes the conclusion regardless of blocks among
-                    # skipped instances.
+    def _search(self, seq: Sequent):
+        """Returns (derivation, None), or (None, failure) for a pure
+        failure, one established without any ancestor block, which may
+        be stored, or (None, None) for any other failure.  seq is marked
+        `on_branch` from `_tick` until it returns or raises."""
+        found = self._stored(seq)
+        if found is not None:
+            return found
+        self._tick()
+        try:
+            _set(seq, "on_branch", True)
+            c = Shape(seq.mode, seq.ant, seq.suc)
+            fits = calculus.fitting(c)
+            # The union of the failed premises' F and C, for a pure failure.
+            f_all, c_all = fits, 0
+            pure = True
+            for rule, bit, commit in self._steps(fits):
+                for prems, principal in calculus.instances(rule, c, seq):
+                    if any(p.on_branch for p in prems):
+                        pure = False
+                        self._blocks += 1
+                        continue
+                    kids = []
+                    for p in prems:
+                        d, e = self._search(p)
+                        if d is None:
+                            break
+                        kids.append(d)
+                    else:
+                        d = Derivation(rule.name, seq, principal, tuple(kids))
+                        _set(seq, "found", seq.found + (d,))
+                        return d, None
+                    if commit:
+                        # Committing to an unblocked instance of an
+                        # invertible rule is complete; a pure failure of its
+                        # premises refutes the conclusion whatever was blocked.
+                        if e is None:
+                            return None, None
+                        return None, self._fail(seq, fits | e[0], bit | e[2])
                     if e is None:
-                        return None, None
-                    return None, self._fail(seq, fits | e[0], bit | e[2])
-                if e is None:
-                    pure = False
-                elif pure:
-                    f_all |= e[0]
-                    c_all |= e[2]
-        if pure:
-            return None, self._fail(seq, f_all, c_all)
-        return None, None
+                        pure = False
+                    elif pure:
+                        f_all |= e[0]
+                        c_all |= e[2]
+            if pure:
+                return None, self._fail(seq, f_all, c_all)
+            return None, None
+        finally:
+            # A mark left behind would block instances in later searches.
+            _set(seq, "on_branch", False)
 
     def _fail(self, seq: Sequent, fitted: int, committed: int) -> Failure:
         share = _shared.setdefault

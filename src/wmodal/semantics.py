@@ -651,7 +651,9 @@ def model_from_json(text: str):
     document that is not one."""
     _check_nesting(text)
     doc = json.loads(text, object_pairs_hook=_unique_keys)
-    if not isinstance(doc, dict) or doc.get("version") != 1:
+    # By value alone, 1.0 and true would pass.
+    if not (isinstance(doc, dict) and type(doc.get("version")) is int
+            and doc["version"] == 1):
         raise ValueError("not a version 1 model document")
     if (kind := doc.get("kind")) not in (CLASSICAL, CONSTRUCTIVE):
         raise ValueError("unknown model kind %r" % kind)

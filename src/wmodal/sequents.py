@@ -54,11 +54,12 @@ class Sequent:
     `Sequent` with the same sides and mode.  Interned until the next
     `prover.clear_caches()`: within an epoch, equal sequents are the same
     object.  Immutable but for `found`, the derivations and failures
-    search found for it this epoch, in that order, or None once retired;
-    only `prover` writes it, and equality, hashing and pickling ignore it."""
+    search found for it this epoch, in that order, or None once retired,
+    and `on_branch`, true while it is on search's current branch; only
+    `prover` writes them, and equality, hashing and pickling ignore them."""
 
-    # Search hashes every sequent it meets several times; hash it once.
-    __slots__ = ("ant", "suc", "mode", "_hash", "found")
+    # No stored hash: `__hash__` reads the fields; search hashes no sequent.
+    __slots__ = ("ant", "suc", "mode", "found", "on_branch")
 
     def __new__(cls, ant: Iterable[Formula], suc: Iterable[Formula],
                 mode: str):
@@ -76,8 +77,8 @@ class Sequent:
         _set(seq, "ant", ant)
         _set(seq, "suc", suc)
         _set(seq, "mode", mode)
-        _set(seq, "_hash", hash(key))
         _set(seq, "found", ())
+        _set(seq, "on_branch", False)
         _intern[key] = seq
         return seq
 
@@ -94,11 +95,11 @@ class Sequent:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self._hash == other._hash and self.ant == other.ant
-                and self.suc == other.suc and self.mode == other.mode)
+        return (self.ant == other.ant and self.suc == other.suc
+                and self.mode == other.mode)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.ant, self.suc, self.mode))
 
     def __reduce__(self):
         return Sequent, (self.ant, self.suc, self.mode)

@@ -163,7 +163,7 @@ def test_countermodel_none_for_theorem(capsys):
 
 def cli_limited(*argv):
     """Run the CLI in a subprocess under a 1 GB address-space limit;
-    returns (exit code, seconds, stderr text)."""
+    returns (exit code, seconds, stderr text, stdout text)."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -173,24 +173,35 @@ def cli_limited(*argv):
     proc = subprocess.run([sys.executable, "-m", "wmodal.cli", *argv],
                           preexec_fn=limit, env=env, capture_output=True,
                           timeout=60)
-    return proc.returncode, time.monotonic() - t0, proc.stderr.decode()
+    return (proc.returncode, time.monotonic() - t0, proc.stderr.decode(),
+            proc.stdout.decode())
 
 
 def test_countermodel_timeout_exit_two():
     # 4 worlds: 168 families per world, 8e8 neighbourhood choices.
-    code, secs, _ = cli_limited("countermodel", "--logic", "M", "[]p1 -> []p1",
-                                "--max-worlds", "4", "--timeout-secs", "1")
+    code, secs, *_ = cli_limited("countermodel", "--logic", "M",
+                                 "[]p1 -> []p1", "--max-worlds", "4",
+                                 "--timeout-secs", "1")
     assert code == 2 and secs < 5
 
 
 def test_countermodel_without_modal_part_skips_neighbourhoods():
-    code, secs, _ = cli_limited("countermodel", "--logic", "M", "p1 -> p1",
-                                "--max-worlds", "4", "--timeout-secs", "1")
+    code, secs, *_ = cli_limited("countermodel", "--logic", "M", "p1 -> p1",
+                                 "--max-worlds", "4", "--timeout-secs", "1")
     assert code == 1 and secs < 5
 
 
+def test_deep_box_chain_decided():
+    # Search takes one Python frame per branch level.
+    code, _, err, out = cli_limited("decide", "--logic", "K",
+                                    "[]" * 60000 + "p1")
+    assert code == 1
+    assert out.strip() == "non-theorem" and err == ""
+
+
 def test_deep_input_exit_70_without_traceback():
-    code, _, err = cli_limited("decide", "--logic", "K", "[]" * 60000 + "p1")
+    code, _, err, _ = cli_limited("decide", "--logic", "K",
+                                  "(" * 30000 + "p1" + ")" * 30000)
     assert code == 70
     assert "Traceback" not in err and err.startswith("internal error: ")
 
@@ -200,7 +211,7 @@ def test_check_model_deep_document_exit_64(tmp_path):
     # `prover` sets, 200,000 levels overflowed the C stack (SIGSEGV).
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000 + "]" * 200_000)
-    code, _, err = cli_limited("check-model", "--logic", "M", str(path))
+    code, _, err, _ = cli_limited("check-model", "--logic", "M", str(path))
     assert code == 64
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
@@ -257,6 +268,11 @@ def test_check_model_roundtrip(tmp_path, capsys):
     # a classical model on an order that is not discrete
     {"version": 1, "kind": "classical", "worlds": [0, 1],
      "neighbourhoods": {}, "order": [[0, 1]]},
+    # a version that equals 1 but is not the integer 1
+    {"version": 1.0, "kind": "classical", "worlds": [0],
+     "neighbourhoods": {}},
+    {"version": True, "kind": "classical", "worlds": [0],
+     "neighbourhoods": {}},
 ])
 def test_check_model_malformed_document_exit_64(tmp_path, capsys, doc):
     path = tmp_path / "model.json"

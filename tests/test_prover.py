@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from wmodal import calculus, prover, sampling
+from wmodal import calculus, prover, sampling, sequents
 from wmodal.logics import LOGICS, get_logic, instantiate_axiom
 from wmodal.prover import Budget, BudgetExceeded, Derivation, check, decide, \
     prove, prove_from
@@ -249,6 +249,23 @@ def test_budget_node_limit_raises():
                        CONSTRUCTIVE)
         with pytest.raises(BudgetExceeded):
             prove(get_logic("WK"), goal, Budget(max_nodes=2))
+    finally:
+        prover.clear_caches()
+
+
+def test_budget_overrun_leaves_no_sequent_on_branch():
+    # A loop-heavy WKT non-theorem: a mark left on the overrun branch
+    # would block instances in every later search of this epoch.
+    wkt = get_logic("WKT")
+    text = ("[](p2 -> p3), [](p3 -> p1), [](bot | p3), [](p2 | p2), "
+            "[](bot -> bot), <>p2 |- <><>bot")
+    prover.clear_caches()
+    try:
+        with pytest.raises(BudgetExceeded):
+            prove(wkt, parse_sequent(text, CONSTRUCTIVE), Budget(1000))
+        assert not any(seq.on_branch for seq in sequents._intern.values())
+        # as from cleared caches
+        assert not prove(wkt, parse_sequent(text, CONSTRUCTIVE)).proved
     finally:
         prover.clear_caches()
 

@@ -84,6 +84,22 @@ def test_script_rejects_unknown_logic(script, args):
     assert proc.stdout == b""
 
 
+@pytest.mark.parametrize("script", ["termination_sweep.py",
+                                    "countermodel_sweep.py"])
+@pytest.mark.parametrize("option, value, message", [
+    ("--max-size", "0", "--max-size must be 1 or more"),
+    ("--max-size", "-2", "--max-size must be 1 or more"),
+    ("--num-atoms", "-3", "--num-atoms must be 0 or more"),
+])
+def test_sweep_rejects_an_empty_space(script, option, value, message):
+    # These swept no formula, or only those built from bot, and exited 0.
+    proc = run_script(script, "--logics", "WK", "--max-size", "1",
+                      option, value)
+    assert proc.returncode == 2
+    assert message in proc.stderr.decode()
+    assert proc.stdout == b""
+
+
 def test_run_fuzz_rejects_negative_count():
     proc = run_script("run_fuzz.py", "--count", "-3", "--logics", "WM")
     assert proc.returncode == 2
