@@ -2,10 +2,10 @@
 """Exhaustive decidability sweep.
 
 Decides every formula up to a given AST size (over a small atom
-alphabet) in every logic, reporting per-logic timing, theorem counts and
-how many decisions the store shared by the logics of a mode answered
-without search, and, at the end, the sizes of the caches
-(`prover.cache_sizes`).
+alphabet) in every logic.  Per logic it reports the theorems, how many
+decisions the store shared by the logics of a mode answered without
+search, the nodes and loop blocks of the searches, and the time; at the
+end, the sizes of the caches (`prover.cache_sizes`).
 This is the operational check that backward search halts on the whole
 small-formula space without hitting budgets.
 
@@ -52,18 +52,21 @@ def main() -> int:
     grand_start = time.monotonic()
     for name in names:
         logic = LOGICS[name]
-        theorems = stored = 0
+        theorems = stored = nodes = blocks = 0
         t0 = time.monotonic()
         for f in space:
             try:
                 res = prover.prove(logic, prover.goal(logic, f), budget)
                 theorems += res.proved
                 stored += res.stats.nodes == 0
+                nodes += res.stats.nodes
+                blocks += res.stats.loop_blocks
             except prover.BudgetExceeded as e:
                 overruns += 1
                 print("  BUDGET EXCEEDED %s: %s" % (name, e))
-        print("%-4s %6d theorems  %6d from store  %6.2fs"
-              % (name, theorems, stored, time.monotonic() - t0))
+        print("%-4s %6d theorems  %6d from store  %8d nodes  %6d loop blocks"
+              "  %6.2fs" % (name, theorems, stored, nodes, blocks,
+                            time.monotonic() - t0))
     print("total %.1fs, %d budget overruns" % (time.monotonic() - grand_start,
                                                overruns))
     print("caches: " + ", ".join("%s %d" % kv

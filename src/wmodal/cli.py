@@ -84,6 +84,7 @@ def cmd_prove(args, out):
     if res.proved:
         out.emit({"command": "prove", "logic": logic.name, "status": "proved",
                   "nodes": res.stats.nodes,
+                  "loop_blocks": res.stats.loop_blocks,
                   "derivation": _derivation_doc(res.derivation)},
                  res.derivation.pretty())
         return EX_OK
@@ -97,10 +98,13 @@ def cmd_prove(args, out):
 def cmd_decide(args, out):
     logic = get_logic(args.logic)
     f = syntax.parse(args.input)
-    theorem = prover.decide(logic, f, _budget(args))
+    res = prover.prove(logic, prover.goal(logic, f), _budget(args))
+    theorem = res.proved
     out.emit({"command": "decide", "logic": logic.name,
               "formula": syntax.render(f),
-              "status": "theorem" if theorem else "non-theorem"},
+              "status": "theorem" if theorem else "non-theorem",
+              "nodes": res.stats.nodes,
+              "loop_blocks": res.stats.loop_blocks},
              "theorem" if theorem else "non-theorem")
     return EX_OK if theorem else EX_NEGATIVE
 

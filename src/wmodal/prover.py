@@ -8,6 +8,28 @@ the current branch: an instance with a marked premise is blocked.  The
 rules tried at a node are looked up by the formula kinds of its sides
 (`calculus.fitting`).
 
+The classical T rules keep their principal, so Tbox and Tdia would fire
+again once the copy they added has been decomposed.  Search applies
+each at most once per principal on a segment of the branch, the nodes
+below the last rule without context: the history, the principals of
+Tbox and Tdia applied in the segment, goes down the branch, and an
+instance on one of them is skipped (Heuerding, Seyfried & Zimmermann,
+"Efficient loop-check for backward proof search in some non-classical
+propositional logics", TABLEAUX 1996).  A skip loses no derivation.
+Every classical propositional and T rule keeps its context and is
+height-preserving invertible, and contraction is height-preserving
+admissible.  Let Tbox on []A be applied in the segment above a node S.
+Each rule between keeps A or, with A as principal, puts its components
+in the premise on the branch, and so on down; S holds the branch residue
+of A, the formulas A was so decomposed into.  Inverting those rules
+turns a derivation of S plus A in the antecedent into one of S, no
+higher.  So the skipped instance, whose premise is S plus A, ends no
+derivation of S of least height.  Tdia on <>A is the dual case, with A
+in the succedent.  That is a property of S, in every classical logic
+and on every branch: a failure found under a history is as pure as one
+found without.  The constructive T rules (iTbox, iTdia) go into no
+history.
+
 The 14 logics of a mode share the results search keeps on each sequent
 (`Sequent.found`), sets of rules being ints of `calculus.BITS`:
 
@@ -19,13 +41,17 @@ The 14 logics of a mode share the results search keeps on each sequent
   when rules(L'') & F <= rules(L) and C <= rules(L'').
 
 By induction over the failed subtree, no node of it is derivable in
-L'': where L did not commit, the last rule of an L'' derivation fits the
-node, so L has it and tried each of its instances, finding a failed
-premise in each; where L committed, the rule is invertible in L'' too,
-so the failed premise would be derivable.  A failure that reuses another
-takes the union of their F and C, and a derivation built on another the
-union of their rules, so reuse composes.  A failure below a loop block
-is not stored: another branch context may permit a derivation there.
+L''.  Suppose one were, and take a derivation of it in L'' of least
+height.  Where L did not commit, the derivation's last rule fits the
+node, so L has it.  L tried each instance of that rule, finding a
+failed premise in each, but for those it skipped as T instances on a
+principal of the history; by the argument above, in L'' as in any
+classical logic, none of those ends a derivation of least height.
+Where L committed, the rule is invertible in L'' too, so the failed
+premise would be derivable.  A failure that reuses another takes the union of
+their F and C, and a derivation built on another the union of their
+rules, so reuse composes.  A failure below a loop block is not stored:
+another branch context may permit a derivation there.
 """
 
 from __future__ import annotations
@@ -179,6 +205,9 @@ Failure = Tuple[int, int, int]
 _shared: Dict[tuple, tuple] = {}
 _set = object.__setattr__
 
+# The history of a goal, and of the premise of a rule without context.
+_NO_HISTORY: frozenset = frozenset()
+
 
 class Engine:
     """Search engine of one logic over the results of its mode."""
@@ -197,6 +226,9 @@ class Engine:
         self.rules = [(r, calculus.BITS[r.name], commit)
                       for r, commit in rules]
         self.mask = calculus.mask(logic.rules)
+        # The rules whose principals go into the history: the classical
+        # T rules, which keep their principal.
+        self._t_rules = calculus.mask(("Tbox", "Tdia")) & self.mask
         # `_steps` by the rules of this logic that fit a conclusion, filled
         # as search meets them; it holds no search result.
         self._table: Dict[int, tuple] = {}
@@ -219,7 +251,7 @@ class Engine:
         self._max_nodes = budget.max_nodes
         self._start = time.monotonic()
         self._deadline = self._start + budget.timeout_secs
-        deriv, _ = self._search(seq)
+        deriv, _ = self._search(seq, _NO_HISTORY)
         stats = SearchStats(self._nodes, self._blocks,
                             time.monotonic() - self._start)
         return ProofResult(deriv is not None, deriv, stats)
@@ -262,11 +294,15 @@ class Engine:
                                               if s[1] & fits)
         return steps
 
-    def _search(self, seq: Sequent):
+    def _search(self, seq: Sequent, history: frozenset):
         """Returns (derivation, None), or (None, failure) for a pure
         failure, one established without any ancestor block, which may
-        be stored, or (None, None) for any other failure.  seq is marked
-        `on_branch` from `_tick` until it returns or raises."""
+        be stored, or (None, None) for any other failure.  history holds
+        the principals of the classical T rules applied since the last
+        rule without context above seq: an instance of Tbox or Tdia on
+        one of them is skipped, which neither blocks nor makes the
+        failure impure (module docstring).  seq is marked `on_branch`
+        from `_tick` until it returns or raises."""
         found = self._stored(seq)
         if found is not None:
             return found
@@ -279,14 +315,21 @@ class Engine:
             f_all, c_all = fits, 0
             pure = True
             for rule, bit, commit in self._steps(fits):
+                # A rule without context starts a new segment.
+                below = history if rule.contextual else _NO_HISTORY
                 for prems, principal in calculus.instances(rule, c, seq):
+                    if bit & self._t_rules:
+                        t = principal[0]
+                        if t in history:
+                            continue
+                        below = history | {t}
                     if any(p.on_branch for p in prems):
                         pure = False
                         self._blocks += 1
                         continue
                     kids = []
                     for p in prems:
-                        d, e = self._search(p)
+                        d, e = self._search(p, below)
                         if d is None:
                             break
                         kids.append(d)

@@ -62,18 +62,18 @@ def test_prove_structured_output(capsys):
     assert rec["derivation"]["rule"] == "Rimp"
 
 
-# Its proof has 406 distinct nodes and about 2.4e10 as a tree.
-MCT_SHARED = ("[]<>bot, []p1, []<>p2, [](bot -> p2), [](p1 | p1), "
-              "[](p1 | p2), [](p3 | p1), <><>p1 |- <>[]<>p1")
+# Its WMNT proof has 302 distinct nodes and about 1.5e14 as a tree.
+WMNT_SHARED = ("[](p1 | p1 | p1), [][]<>p1, [](p2 | p3), <>bot, [](p3 | p2), "
+               "[](p1 & p2), [][][]p1, []<>p2, [](p1 | p2) |- <>[]p2")
 
 
 def test_closed_stdout_exit_74_without_message():
-    # The proof text is about 138 KB, more than a pipe holds, so the
+    # The proof text is about 129 KB, more than a pipe holds, so the
     # writer meets the closed pipe.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "wmodal.cli", "prove", "--logic", "MCT",
-         MCT_SHARED], env=dict(os.environ, PYTHONPATH=src),
+        [sys.executable, "-m", "wmodal.cli", "prove", "--logic", "WMNT",
+         WMNT_SHARED], env=dict(os.environ, PYTHONPATH=src),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline()
     proc.stdout.close()
@@ -84,14 +84,14 @@ def test_closed_stdout_exit_74_without_message():
 
 def test_prove_renders_shared_proof_once(capsys):
     t0 = time.monotonic()
-    code, text = run(capsys, "prove", "--logic", "MCT", MCT_SHARED)
+    code, text = run(capsys, "prove", "--logic", "WMNT", WMNT_SHARED)
     assert code == 0
-    code, out = run(capsys, "prove", "--logic", "MCT", "--format",
-                    "structured", MCT_SHARED)
+    code, out = run(capsys, "prove", "--logic", "WMNT", "--format",
+                    "structured", WMNT_SHARED)
     assert code == 0
     assert time.monotonic() - t0 < 5
     (rec,) = structured_lines(out)
-    assert rec["derivation"]["rule"] == "Tbox"
+    assert rec["derivation"]["rule"] == "iTbox"
     ids, refs, stack = [], [], [rec["derivation"]]
     while stack:
         doc = stack.pop()
@@ -106,6 +106,28 @@ def test_prove_renders_shared_proof_once(capsys):
     lines = text.splitlines()
     assert len(lines) == len(ids) + len(refs)
     assert sum("[see #" in line for line in lines) == len(refs)
+
+
+def test_structured_results_count_nodes_and_loop_blocks(capsys):
+    # From cleared caches, as `prove` and `decide` run in a fresh process.
+    wkt = ("[]<>p3, []<>[]p2, [](bot -> p1), [](p3 | p3), [](p1 | p1), "
+           "[]p1, [](p2 | p3), <>p1 |- [](bot -> bot)")
+    prover.clear_caches()
+    try:
+        code, out = run(capsys, "prove", "--logic", "WKT", "--format",
+                        "structured", wkt)
+        assert code == 0
+        (rec,) = structured_lines(out)
+        assert rec["status"] == "proved"
+        assert (rec["nodes"], rec["loop_blocks"]) == (132, 81)
+        code, out = run(capsys, "decide", "--logic", "WM", "--format",
+                        "structured", "~~p1")
+        assert code == 1
+        (rec,) = structured_lines(out)
+        assert rec["status"] == "non-theorem"
+        assert (rec["nodes"], rec["loop_blocks"]) == (3, 1)
+    finally:
+        prover.clear_caches()
 
 
 def test_decide_exit_codes(capsys):
@@ -220,7 +242,7 @@ def test_unexpected_error_exit_70(capsys, monkeypatch):
     def boom(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(prover, "decide", boom)
+    monkeypatch.setattr(prover, "prove", boom)
     assert cli.main(["decide", "--logic", "WM", "p1"]) == 70
     assert capsys.readouterr().err == "internal error: RuntimeError('boom')\n"
 

@@ -53,7 +53,7 @@ def test_classical_k_proves_dual_or():
 # and loop-block count and each proof's (rule, conclusion) steps.  A change
 # to rule matching or search that keeps the calculi and what is stored
 # keeps this digest.
-SEARCH_DIGEST = "038525823c32e682078105030b8e9a071b65ae220243ac917c6aad34f4978758"
+SEARCH_DIGEST = "8a508198fff06c1caa151716c535bbc2a270bc67b9bacaa8030c9975bdb6e2b5"
 
 
 def test_search_results_of_size5_space_unchanged():
@@ -266,6 +266,54 @@ def test_budget_overrun_leaves_no_sequent_on_branch():
         assert not any(seq.on_branch for seq in sequents._intern.values())
         # as from cleared caches
         assert not prove(wkt, parse_sequent(text, CONSTRUCTIVE)).proved
+    finally:
+        prover.clear_caches()
+
+
+def _prove_cold(name, text):
+    """prove in the named logic from cleared caches; the sequent and
+    result, with the caches left as the search left them."""
+    logic = get_logic(name)
+    prover.clear_caches()
+    seq = (parse_sequent(text, logic.mode) if "|-" in text
+           else prover.goal(logic, parse(text)))
+    return seq, prove(logic, seq)
+
+
+def test_t_rule_applies_once_per_principal_on_a_segment():
+    # Tdia, Rand, Tdia, Rand used to reach an ancestor: a loop block, and
+    # no failure stored.  Tdia now skips its principal on the segment.
+    try:
+        seq, res = _prove_cold("MT", "<>(p1 & p1)")
+        assert not res.proved
+        assert (res.stats.nodes, res.stats.loop_blocks) == (3, 0)
+        # pure, so stored: it answers the goal again without search
+        assert seq in prover.engine_for(get_logic("MT")).failed
+    finally:
+        prover.clear_caches()
+
+
+def test_rule_without_context_starts_a_new_segment():
+    # At the root, Tbox on []([]p1 & p2), Land and Tbox on []p1 put []p1
+    # in the history.  Below Mbox, []p1, p2 |- p1 closes only by Tbox on
+    # []p1 again.
+    try:
+        _, res = _prove_cold("MT", "[]([]p1 & p2) |- [](p1 & p2)")
+        assert res.proved and check(get_logic("MT"), res.derivation)
+        assert res.stats.loop_blocks == 0
+    finally:
+        prover.clear_caches()
+
+
+def test_constructive_t_rules_keep_no_history():
+    # A loop-heavy WKT non-theorem, whose loops come from constructive
+    # Limp: it expands the nodes and blocks it did before the history.
+    text = ("[](p2 -> p3), [](p3 -> p1), [](bot | p3), [](p2 | p2), "
+            "[](bot -> bot), <>p2 |- <><>bot")
+    try:
+        _, res = _prove_cold("WKT", text)
+        assert not res.proved
+        assert (res.stats.nodes, res.stats.loop_blocks) == (7126, 5212)
     finally:
         prover.clear_caches()
 

@@ -7,6 +7,9 @@ import sys
 
 import pytest
 
+from wmodal import prover, sampling
+from wmodal.logics import LOGICS
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -33,6 +36,27 @@ def test_termination_sweep_counts_decisions_answered_from_store():
     sizes = re.findall(r"^caches: formulas (\d+), sequents (\d+), ",
                        proc.stdout.decode(), re.M)
     assert len(sizes) == 1 and min(map(int, sizes[0])) > 0, proc.stdout.decode()
+
+
+def test_termination_sweep_counts_nodes_and_loop_blocks():
+    proc = run_script("termination_sweep.py", "--max-size", "5",
+                      "--logics", "WK,KT")
+    rows = re.findall(r"^(\w+) .* from store +(\d+) nodes +(\d+) loop blocks ",
+                      proc.stdout.decode(), re.M)
+    # the sums of the stats of the same decisions, in the same order
+    expected = []
+    prover.clear_caches()
+    try:
+        for name in ("WK", "KT"):
+            logic = LOGICS[name]
+            stats = [prover.prove(logic, prover.goal(logic, f)).stats
+                     for f in sampling.formulas_up_to_size(5, 2)]
+            expected.append((name, str(sum(s.nodes for s in stats)),
+                             str(sum(s.loop_blocks for s in stats))))
+    finally:
+        prover.clear_caches()
+    assert rows == expected, proc.stdout.decode()
+    assert int(rows[0][2]) > 0
 
 
 def test_countermodel_sweep_prints_a_row_per_logic():
