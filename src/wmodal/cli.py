@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 negative answer (not derivable / no
 countermodel / violations found), 2 budget exhausted, 64 usage or parse
-errors, 70 internal error (any other exception: one line on stderr, no
-traceback, never read as a negative answer), 74 standard output closed
+errors, 70 internal error (any other exception, or a proof that fails
+`prover.check`: one line on stderr, no traceback, never read as a
+negative answer), 74 standard output closed
 by its reader (nothing printed).  `--format structured`
 emits line-delimited JSON with a version field.
 """
@@ -67,6 +68,14 @@ def _derivation_doc(d):
     return root
 
 
+def _checked(logic, d):
+    """d once forward `check` accepts it; a derivation it rejects is an
+    internal error, raised before anything of it is printed."""
+    if not prover.check(logic, d):
+        raise RuntimeError("derivation of %s fails check" % d.conclusion)
+    return d
+
+
 def _budget(args) -> Budget:
     return Budget(max_nodes=args.max_nodes, timeout_secs=args.timeout_secs)
 
@@ -82,11 +91,11 @@ def cmd_prove(args, out):
     seq = _parse_goal(logic, args.input)
     res = prover.prove(logic, seq, _budget(args))
     if res.proved:
+        d = _checked(logic, res.derivation)
         out.emit({"command": "prove", "logic": logic.name, "status": "proved",
                   "nodes": res.stats.nodes,
                   "loop_blocks": res.stats.loop_blocks,
-                  "derivation": _derivation_doc(res.derivation)},
-                 res.derivation.pretty())
+                  "derivation": _derivation_doc(d)}, d.pretty())
         return EX_OK
     out.emit({"command": "prove", "logic": logic.name,
               "status": "not-derivable", "nodes": res.stats.nodes,
@@ -120,13 +129,14 @@ def cmd_interpolate(args, out):
                   "status": "not-a-theorem"}, str(e))
         return EX_NEGATIVE
     c = res.interpolant
+    left = _checked(logic, res.left_certificate)
+    right = _checked(logic, res.right_certificate)
     out.emit({"command": "interpolate", "logic": logic.name,
               "status": "ok", "interpolant": syntax.render(c),
-              "left_certificate": _derivation_doc(res.left_certificate),
-              "right_certificate": _derivation_doc(res.right_certificate)},
+              "left_certificate": _derivation_doc(left),
+              "right_certificate": _derivation_doc(right)},
              "interpolant: %s\nleft certificate:\n%s\nright certificate:\n%s"
-             % (syntax.render(c), res.left_certificate.pretty(),
-                res.right_certificate.pretty()))
+             % (syntax.render(c), left.pretty(), right.pretty()))
     return EX_OK
 
 

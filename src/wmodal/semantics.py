@@ -9,7 +9,8 @@ discrete order, where each world is its own only successor, and its
 both: the clauses for implication, box and diamond are read locally and
 then cut down to the worlds all of whose successors satisfy them, which
 on the discrete order changes nothing.  Each frame condition is stated
-once, in `_violation`, for checking models and for generating them.
+once, in `_violation`, which checks models and, through `_families`,
+picks the families that countermodel search and `random_model` use.
 
 Countermodel enumeration ranges over neighbourhood families that are
 antichains under inclusion (closed under intersection when the logic
@@ -276,53 +277,23 @@ def check_conditions(model, logic: Logic) -> ConditionReport:
 # ---------------------------------------------------------------------------
 # Random models
 
-class ResamplingExhausted(RuntimeError):
-    pass
-
-
-_RANDOM_MODEL_TRIES = 500
-
-
 def random_model(logic: Logic, max_worlds: int, seed: int):
-    """Random model of logic's class over p1, p2, p3: repair (N)/(T)/(C),
-    resample on (D)/(P) up to _RANDOM_MODEL_TRIES times."""
+    """Random model of logic's class over p1, p2, p3, drawn from the frames
+    enumerate_countermodel searches: a world count in 1..max_worlds, then
+    an order, a family per world and a value per atom, each uniformly
+    from the enumeration's tables.  ValueError unless max_worlds is in
+    1..MAX_WORLDS."""
+    if not 1 <= max_worlds <= MAX_WORLDS:
+        raise ValueError("max_worlds must be in 1..%d, not %d"
+                         % (MAX_WORLDS, max_worlds))
     rng = random.Random(seed)
-    conds = logic.conditions
-    for _ in range(_RANDOM_MODEL_TRIES):
-        n = rng.randint(1, max_worlds)
-        full = (1 << n) - 1
-        succ = list(_discrete(n))
-        if logic.mode == CONSTRUCTIVE:
-            base = [[rng.random() < 0.3 for _ in range(n)] for _ in range(n)]
-            succ = [ (1 << w) | _mask(v for v in range(n) if base[w][v])
-                     for w in range(n) ]
-            # transitive closure
-            while (bad := _intransitive(succ)) is not None:
-                w, v = bad
-                succ[w] |= succ[v]
-        neigh = []
-        for w in range(n):
-            k = rng.randint(0, 3)
-            fam = {rng.randint(0, full) for _ in range(k)}
-            if "N" in conds and not fam:
-                fam = {1 << rng.randint(0, n - 1)}
-            if "T" in conds:
-                fam = {a | (1 << w) for a in fam}
-            if "C" in conds:
-                fam = set(_close_intersection(fam))
-            neigh.append(tuple(sorted(fam)))
-        val = []
-        for a in (1, 2, 3):
-            m = rng.randint(0, full)
-            # upward closure keeps the valuation hereditary
-            for w in _bits(m):
-                m |= succ[w]
-            val.append((a, m))
-        model = Model(logic.mode, n, tuple(succ), tuple(neigh), tuple(val))
-        if check_conditions(model, logic).ok:
-            return model
-    raise ResamplingExhausted("no %s-model found in %d tries"
-                              % (logic.name, _RANDOM_MODEL_TRIES))
+    n = rng.randint(1, max_worlds)
+    succ = rng.choice(_preorders(n) if logic.mode == CONSTRUCTIVE
+                      else (_discrete(n),))
+    neigh = tuple(rng.choice(_families(n, logic.conditions, w))
+                  for w in range(n))
+    val = tuple((a, rng.choice(_upsets(succ))) for a in (1, 2, 3))
+    return Model(logic.mode, n, succ, neigh, val)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes and structured output."""
 
 import ast
+import glob
 import json
 import os
 import resource
@@ -247,6 +248,19 @@ def test_unexpected_error_exit_70(capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: RuntimeError('boom')\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["prove", "--logic", "WK", "[](p1 -> p2) -> ([]p1 -> []p2)"],
+    ["interpolate", "--logic", "WK", "p1 & p2", "p1 | p3"],
+])
+def test_derivation_failing_check_exit_70(capsys, monkeypatch, argv):
+    monkeypatch.setattr(prover, "check", lambda logic, d: False)
+    assert cli.main(argv) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_countermodel_bad_max_worlds_exit_64(capsys):
     for n in ("0", "-2"):
         assert run(capsys, "countermodel", "--logic", "M", "p1",
@@ -476,3 +490,21 @@ def test_command_loads_only_the_modules_it_runs(tmp_path, argv, runs):
     unused = {"wmodal." + m for m in _COMMAND_MODULES - runs}
     assert not loaded & unused
 
+
+def test_package_imports_only_the_standard_library():
+    # The package has no runtime dependencies.
+    pkg = os.path.dirname(os.path.abspath(cli.__file__))
+    outside = []
+    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(os.path.basename(path), name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside

@@ -108,11 +108,17 @@ def test_extension_matches_reference():
     rng = random.Random(29)
     names = sorted(LOGICS)
     for _ in range(300):
-        m = random_model(LOGICS[rng.choice(names)], 4, rng.getrandbits(32))
+        model = random_model(LOGICS[rng.choice(names)], 4, rng.getrandbits(32))
+        # Random models hold antichain families only, but a model document
+        # may give any family: widened by the full set, each family that
+        # holds another set is no antichain.
+        wide = model._replace(neigh=tuple(tuple(sorted({*fam, model.full}))
+                                          for fam in model.neigh))
         for _ in range(8):
             f = sampling.random_formula(rng, rng.randint(1, 9))
-            assert extension(m, f) == reference_extension(m, f), \
-                (model_to_json(m), syntax.render(f))
+            for m in (model, wide):
+                assert extension(m, f) == reference_extension(m, f), \
+                    (model_to_json(m), syntax.render(f))
 
 
 def test_classical_model_is_discrete_constructive_model():
@@ -196,6 +202,31 @@ def test_random_model_satisfies_conditions(name):
 def test_random_model_single_world_wm():
     m = random_model(get_logic("WM"), 1, seed=0)
     assert m.n == 1
+
+
+@pytest.mark.parametrize("name", ["WM", "WMN", "WKT", "M", "MD", "KT"])
+def test_random_model_drawn_from_enumeration_tables(name):
+    logic = LOGICS[name]
+    for max_worlds in range(1, semantics.MAX_WORLDS + 1):
+        for seed in range(25):
+            m = random_model(logic, max_worlds, seed)
+            n = m.n
+            assert 1 <= n <= max_worlds
+            assert m.succ in semantics._preorders(n)
+            if logic.mode == CLASSICAL:
+                assert m.succ == semantics._discrete(n)
+            for w, fam in enumerate(m.neigh):
+                assert fam in semantics._families(n, logic.conditions, w)
+            assert [a for a, _ in m.val] == [1, 2, 3]
+            for _, v in m.val:
+                assert v in semantics._upsets(m.succ)
+
+
+@pytest.mark.parametrize("max_worlds", [0, semantics.MAX_WORLDS + 1])
+def test_random_model_rejects_world_counts_the_enumeration_lacks(max_worlds):
+    with pytest.raises(ValueError, match="max_worlds must be in 1..%d"
+                       % semantics.MAX_WORLDS):
+        random_model(get_logic("WM"), max_worlds, seed=0)
 
 
 # ---------------------------------------------------------------------------
