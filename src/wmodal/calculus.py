@@ -115,7 +115,9 @@ class Rule(NamedTuple):
     # The premises keep the conclusion's side formulas as context.
     contextual: bool = False
     # The formula kinds, on the antecedent and on the succedent, that the
-    # conclusion of every instance with a principal formula holds.
+    # conclusion of every instance with a principal formula holds.  A
+    # contextual rule's principal lies on the side it names: needs[0] is
+    # non-empty exactly for the antecedent rules (and init, on both).
     needs: Tuple[FrozenSet[str], FrozenSet[str]] = (frozenset(), frozenset())
 
 

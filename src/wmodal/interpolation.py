@@ -4,16 +4,23 @@ Given a cut-free derivation of Γ₁,Γ₂ ⇒ Δ, the extractor computes C with
 Γ₁ ⇒ C and C,Γ₂ ⇒ Δ derivable and var(C) ⊆ var(Γ₁) ∩ var(Γ₂,Δ).  The
 succedent always stays with the right part.
 
-The case table is read off the rule table of `calculus`: the closure,
-propositional and T rules have a case each, and all context-free modal
-rules share one (Orlandelli, Logic and Logical Philosophy 2021).
-Premise interpolants are combined with top and bot absorbed, so the
-interpolant certified is built free of constants wherever it can be.
+Three cases, read off the rule table of `calculus` (Troelstra &
+Schwichtenberg, Basic Proof Theory, §4.4).  A closure gives its
+principal if that is in the left part, else top.  A contextual rule's
+premise keeps each formula of the conclusion on its side, so a
+component already in the right part stays there; the formulas it adds
+go to the left part if the principal is an antecedent formula
+(`Rule.needs`) of the left part, else to the right.  Two premise
+interpolants are joined by ∨ under a left principal, by ∧ otherwise,
+except that Limp with a left principal swaps the partition for its
+first premise, D, and gives D → C.  All context-free modal rules share
+one case (Orlandelli, Logic and Logical Philosophy 2021).  Premise
+interpolants are combined with top and bot absorbed, so the interpolant
+certified is built free of constants wherever it can be.
 
 Certificates are produced by re-running the prover on the two contract
-sequents, never by transforming the input derivation, so an error
-anywhere in the case table surfaces as a certificate failure rather than
-a wrong answer.
+sequents, never by transforming the input derivation, so an error in
+any case surfaces as a certificate failure rather than a wrong answer.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ class NotATheoremError(ValueError):
 
 class CertificateError(RuntimeError):
     """An extracted interpolant failed its own contract; this indicates a
-    bug in the case table, not bad input."""
+    bug in the interpolation cases, not bad input."""
 
 
 class Partition(NamedTuple):
@@ -56,10 +63,10 @@ def interpolate_derivation(logic: Logic, d: Derivation, part: Partition,
     concl = d.conclusion
     left = frozenset(part.left)
     right = frozenset(part.right)
-    if left | right != set(concl.ant):
+    if left | right != set(concl.ant) or left & right:
         raise ValueError("partition does not split the conclusion antecedent")
     c = _interp(d, left)
-    return _certify(logic, c, left, set(concl.ant) - left, concl.suc, budget)
+    return _certify(logic, c, left, right, concl.suc, budget)
 
 
 def craig(logic: Logic, a: Formula, b: Formula,
@@ -94,91 +101,60 @@ def _interp(d: Derivation, left: FrozenSet[Formula]) -> Formula:
     """The interpolant of d for the antecedent part left.
 
     Search shares subderivations, so d is a DAG whose tree unfolding can
-    be exponentially larger.  The case table is a function of the node
-    and its left part alone, so each such pair is computed once.
+    be exponentially larger.  A case is a function of the node and its
+    left part alone, so each such pair is computed once.  The cases sit
+    in the recursion itself, which takes one Python frame per level, as
+    search does.
     """
     memo = {}
 
-    def interp(node, part):
-        k = (id(node), part)
+    def interp(d, left):
+        k = (id(d), left)
         c = memo.get(k)
-        if c is None:
-            c = memo[k] = _case(node, part, interp)
+        if c is not None:
+            return c
+        pr = d.principal
+        kids = d.children
+        rule = RULES[d.rule]
+        if not kids:
+            # init and Lbot: the principal is the atom, or bot, that closes.
+            c = pr[0] if pr[0] in left else top
+        elif rule.contextual:
+            # The formulas a premise adds go with an antecedent principal
+            # of the left part; every other formula keeps its side.
+            own = bool(rule.needs[0]) and pr[0] in left
+            ant = d.conclusion.ant
+            parts = [frozenset(g for g in kid.conclusion.ant
+                               if g in left or own and g not in ant)
+                     for kid in kids]
+            if own and d.rule == "Limp":
+                # The first premise proves the principal's antecedent: it
+                # is interpolated with the partition swapped.
+                parts[0] = frozenset(kids[0].conclusion.ant) - parts[0]
+                join = _imp
+            else:
+                join = _or if own else _and
+            c = interp(kids[0], parts[0])
+            if len(kids) > 1:
+                c = join(c, interp(kids[1], parts[1]))
+        else:
+            # Context-free modal rules.  The succedent principal comes
+            # first, present exactly when the one premise has a succedent
+            # formula (see `calculus`).
+            premise = kids[0]
+            ant = pr[1:] if premise.conclusion.suc else pr
+            own = [f for f in ant if f in left]
+            if not own:
+                c = top
+            elif not premise.conclusion.suc and len(own) == len(ant):
+                c = bot
+            else:
+                c = interp(premise, frozenset([f.left for f in own]))
+                c = dia(c) if any(f.kind == DIA for f in own) else box(c)
+        memo[k] = c
         return c
 
     return interp(d, left)
-
-
-# ---------------------------------------------------------------------------
-# The case table.  `left` is the Γ₁ part of the node's antecedent; `interp`
-# interpolates a premise.
-
-def _case(d: Derivation, left: FrozenSet[Formula], interp) -> Formula:
-    rule = d.rule
-    pr = d.principal
-    kids = d.children
-
-    def sub(child, newleft):
-        return interp(child, frozenset(newleft) & set(child.conclusion.ant))
-
-    # -- closures ---------------------------------------------------------
-    if rule == "init":
-        return pr[0] if pr[0] in left else top
-    if rule == "Lbot":
-        return bot if bot in left else top
-
-    # -- propositional ----------------------------------------------------
-    if rule == "Land":
-        f = pr[0]
-        nl = (left - {f}) | ({f.left, f.right} if f in left else set())
-        return sub(kids[0], nl)
-    if rule == "Lor":
-        f = pr[0]
-        c1 = sub(kids[0], (left - {f}) | ({f.left} if f in left else set()))
-        c2 = sub(kids[1], (left - {f}) | ({f.right} if f in left else set()))
-        return _or(c1, c2) if f in left else _and(c1, c2)
-    if rule == "Limp":
-        f = pr[0]
-        if f not in left:
-            c1 = sub(kids[0], left)
-            c2 = sub(kids[1], left)
-            return _and(c1, c2)
-        # Left-sided principal: interpolate the first premise with the
-        # partition swapped, then implication-combine.
-        swapped = set(kids[0].conclusion.ant) - left
-        dd = sub(kids[0], swapped)
-        c2 = sub(kids[1], (left - {f}) | {f.right})
-        return _imp(dd, c2)
-    if rule == "Rand":
-        return _and(sub(kids[0], left), sub(kids[1], left))
-    if rule == "Ror":
-        return sub(kids[0], left)
-    if rule == "Rimp":
-        return sub(kids[0], left)   # the new antecedent member stays right
-
-    # -- T rules ----------------------------------------------------------
-    if rule == "iTbox":
-        f = pr[0]
-        nl = left | ({f.left} if f in left else set())
-        return sub(kids[0], nl)
-    if rule == "iTdia":
-        return sub(kids[0], left)
-
-    # -- context-free modal rules: one case for all -----------------------
-    # The succedent principal comes first, present exactly when the one
-    # premise has a succedent formula (see `calculus`).
-    if not RULES[rule].contextual:
-        premise = kids[0]
-        ant = pr[1:] if premise.conclusion.suc else pr
-        own = [f for f in ant if f in left]
-        if not own:
-            return top
-        if not premise.conclusion.suc and len(own) == len(ant):
-            return bot
-        c = sub(premise, {f.left for f in own})
-        return dia(c) if any(f.kind == DIA for f in own) else box(c)
-
-    raise CertificateError("no interpolation case for rule %r" % rule)
 
 
 # The connectives that combine premise interpolants absorb top and bot, so

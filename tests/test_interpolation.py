@@ -88,6 +88,10 @@ def test_partition_must_split_antecedent():
     d = prove(wm, Sequent((p,), (p,), CONSTRUCTIVE)).derivation
     with pytest.raises(ValueError):
         interpolate_derivation(wm, d, Partition((q,), ()))
+    # The parts overlap: p2 would stand on both sides.
+    d = prove(wm, Sequent((p, q), (p,), CONSTRUCTIVE)).derivation
+    with pytest.raises(ValueError):
+        interpolate_derivation(wm, d, Partition((p, q), (q,)))
 
 
 def test_classical_logic_rejected():
@@ -154,6 +158,15 @@ def test_craig_walks_a_shared_proof_once_per_node():
     assert prover.check(wkt, res.right_certificate)
 
 
+def test_craig_on_a_deep_chain():
+    # One Python frame per derivation level, as search takes.
+    wm = get_logic("WM")
+    a = parse("[]" * 60000 + "p1")
+    res = craig(wm, a, a)
+    assert prover.check(wm, res.left_certificate)
+    assert prover.check(wm, res.right_certificate)
+
+
 # ---------------------------------------------------------------------------
 # partition exhaustiveness over random derivable sequents
 
@@ -182,6 +195,11 @@ RULE_CONCLUSIONS = (
     "p2, []p1, []p2, <>~p1 |-", "[]p1, []~p1 |-",
     "[]p1, [](p1 -> p2) |- <>p2", "p1 |- [](p2 -> p2)",
     "p1 |- <>(p2 -> p2)", "p1, <>bot |-", "p1, []bot |-",
+    # A principal that also stands on the other side.
+    "p1 -> p2 |- p1 -> p2", "p1 & p2 |- p1 & p2",
+    # A component that the antecedent already holds.
+    "p1 & p2, p2 |- p2", "p1 | p2, p1, p2 -> p1 |- p1", "[]p1, p1 |- p1",
+    "p1, p1 -> p2, p2 |- p2",
 )
 
 
