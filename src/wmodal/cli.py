@@ -38,12 +38,14 @@ class _Out:
     def __init__(self, structured: bool):
         self.structured = structured
 
-    def emit(self, record: dict, text: str):
+    def emit(self, record, text):
+        """Print record, or text; either may be a function that makes it."""
+        shown = record if self.structured else text
+        shown = shown() if callable(shown) else shown
         if self.structured:
-            record = {"version": FORMAT_VERSION, **record}
-            print(json.dumps(record, sort_keys=True))
-        elif text:
-            print(text)
+            shown = json.dumps({"version": FORMAT_VERSION, **shown},
+                               sort_keys=True)
+        print(shown)
 
 
 def _derivation_doc(d):
@@ -92,10 +94,10 @@ def cmd_prove(args, out):
     res = prover.prove(logic, seq, _budget(args))
     if res.proved:
         d = _checked(logic, res.derivation)
-        out.emit({"command": "prove", "logic": logic.name, "status": "proved",
-                  "nodes": res.stats.nodes,
-                  "loop_blocks": res.stats.loop_blocks,
-                  "derivation": _derivation_doc(d)}, d.pretty())
+        out.emit(lambda: {"command": "prove", "logic": logic.name,
+                          "status": "proved", "nodes": res.stats.nodes,
+                          "loop_blocks": res.stats.loop_blocks,
+                          "derivation": _derivation_doc(d)}, d.pretty)
         return EX_OK
     out.emit({"command": "prove", "logic": logic.name,
               "status": "not-derivable", "nodes": res.stats.nodes,
@@ -128,15 +130,15 @@ def cmd_interpolate(args, out):
         out.emit({"command": "interpolate", "logic": logic.name,
                   "status": "not-a-theorem"}, str(e))
         return EX_NEGATIVE
-    c = res.interpolant
+    c = syntax.render(res.interpolant)
     left = _checked(logic, res.left_certificate)
     right = _checked(logic, res.right_certificate)
-    out.emit({"command": "interpolate", "logic": logic.name,
-              "status": "ok", "interpolant": syntax.render(c),
-              "left_certificate": _derivation_doc(left),
-              "right_certificate": _derivation_doc(right)},
-             "interpolant: %s\nleft certificate:\n%s\nright certificate:\n%s"
-             % (syntax.render(c), left.pretty(), right.pretty()))
+    out.emit(lambda: {"command": "interpolate", "logic": logic.name,
+                      "status": "ok", "interpolant": c,
+                      "left_certificate": _derivation_doc(left),
+                      "right_certificate": _derivation_doc(right)},
+             lambda: "interpolant: %s\nleft certificate:\n%s\nright "
+                     "certificate:\n%s" % (c, left.pretty(), right.pretty()))
     return EX_OK
 
 
@@ -152,10 +154,10 @@ def cmd_countermodel(args, out):
                  "none up to size %d" % args.max_worlds)
         return EX_NEGATIVE
     model, world = found
+    doc = semantics.model_to_json(model)
     out.emit({"command": "countermodel", "logic": logic.name, "status": "found",
-              "world": world, "model": json.loads(semantics.model_to_json(model))},
-             "refuting world: %d\nmodel: %s" % (world,
-                                                semantics.model_to_json(model)))
+              "world": world, "model": json.loads(doc)},
+             "refuting world: %d\nmodel: %s" % (world, doc))
     return EX_OK
 
 

@@ -33,7 +33,7 @@ from .logics import Logic
 from .prover import Budget, Derivation
 from .sequents import CONSTRUCTIVE, Sequent
 from .syntax import (DIA, Formula, bot, box, conj, dia, disj, imp, top,
-                     var_set_all)
+                     var_set, var_set_all)
 
 
 class NotATheoremError(ValueError):
@@ -84,14 +84,13 @@ def craig(logic: Logic, a: Formula, b: Formula,
 
 def _certify(logic, c, left, right, suc, budget) -> InterpolationResult:
     lseq = Sequent(left, (c,), CONSTRUCTIVE)
-    rseq = Sequent(set(right) | {c}, suc, CONSTRUCTIVE)
+    rseq = Sequent((*right, c), suc, CONSTRUCTIVE)
     lres = prover.prove(logic, lseq, budget)
     rres = prover.prove(logic, rseq, budget)
     if not (lres.proved and rres.proved):
         raise CertificateError("certificate re-proof failed for interpolant %s"
                                % syntax.render(c))
-    if not var_set_all([c]) <= (var_set_all(left)
-                                & var_set_all(list(right) + list(suc))):
+    if not var_set(c) <= var_set_all(left) & var_set_all((*right, *suc)):
         raise CertificateError("variable condition failed for interpolant %s"
                                % syntax.render(c))
     return InterpolationResult(c, lres.derivation, rres.derivation)
@@ -109,7 +108,7 @@ def _interp(d: Derivation, left: FrozenSet[Formula]) -> Formula:
     memo = {}
 
     def interp(d, left):
-        k = (id(d), left)
+        k = (d, left)
         c = memo.get(k)
         if c is not None:
             return c

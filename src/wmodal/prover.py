@@ -4,7 +4,10 @@ The engine explores set-normalized sequents depth-first.  Invertible
 rules are applied eagerly with commitment; the remaining rules are
 choice points explored with backtracking, one Python frame per branch
 level.  Loops are cut by `Sequent.on_branch`, which marks the nodes of
-the current branch: an instance with a marked premise is blocked.  The
+the current branch: an instance with a marked premise is blocked.
+Threads share the interned sequents, so one search runs at a time, under
+`_lock`, as `clear_caches` does; scans of the sequents (`clear_caches`,
+`cache_sizes`, `proved`, `failed`) need the other threads idle.  The
 rules tried at a node are looked up by the formula kinds of its sides
 (`calculus.fitting`).
 
@@ -56,6 +59,7 @@ another branch context may permit a derivation there.
 
 from __future__ import annotations
 
+import _thread
 import sys
 import time
 from collections import Counter
@@ -135,9 +139,9 @@ class Derivation:
         stack = [self]
         while stack:
             node = stack.pop()
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             yield node
             stack.extend(reversed(node.children))
 
@@ -147,19 +151,19 @@ class Derivation:
         node is entered only at its first occurrence (first is True).
         label is k for the k-th node, in that order, that is a premise
         more than once, and None for the others."""
-        refs = Counter(id(c) for node in self.steps() for c in node.children)
+        refs = Counter(c for node in self.steps() for c in node.children)
         labels = {}
         for node in self.steps():
-            if refs[id(node)] > 1:
-                labels[id(node)] = len(labels) + 1
+            if refs[node] > 1:
+                labels[node] = len(labels) + 1
         done = set()
         stack = [(0, self)]
         while stack:
             depth, node = stack.pop()
-            first = id(node) not in done
-            yield depth, node, labels.get(id(node)), first
+            first = node not in done
+            yield depth, node, labels.get(node), first
             if first:
-                done.add(id(node))
+                done.add(node)
                 stack.extend((depth + 1, c) for c in reversed(node.children))
 
     def pretty(self) -> str:
@@ -207,6 +211,7 @@ _set = object.__setattr__
 
 # The history of a goal, and of the premise of a rule without context.
 _NO_HISTORY: frozenset = frozenset()
+_lock = _thread.allocate_lock()     # one search at a time
 
 
 class Engine:
@@ -246,14 +251,14 @@ class Engine:
         if found is not None:
             d = found[0]
             return _REFUTED if d is None else ProofResult(True, d, _UNSEARCHED)
-        self._nodes = 0
-        self._blocks = 0
-        self._max_nodes = budget.max_nodes
-        self._start = time.monotonic()
-        self._deadline = self._start + budget.timeout_secs
-        deriv, _ = self._search(seq, _NO_HISTORY)
-        stats = SearchStats(self._nodes, self._blocks,
-                            time.monotonic() - self._start)
+        with _lock:
+            self._nodes = self._blocks = 0
+            self._max_nodes = budget.max_nodes
+            self._start = time.monotonic()
+            self._deadline = self._start + budget.timeout_secs
+            deriv, _ = self._search(seq, _NO_HISTORY)
+            stats = SearchStats(self._nodes, self._blocks,
+                                time.monotonic() - self._start)
         return ProofResult(deriv is not None, deriv, stats)
 
     # -- internals --------------------------------------------------------
@@ -423,8 +428,9 @@ def clear_caches():
     sequent or derivation kept from an earlier epoch stays valid; its
     sequents equal, but are not, those built after, and a kept goal is
     searched again."""
-    sequents.new_epoch()
-    _shared.clear()
+    with _lock:
+        sequents.new_epoch()
+        _shared.clear()
 
 
 def cache_sizes() -> Dict[str, int]:

@@ -170,13 +170,11 @@ def _lane_local(full: int, one: int, tests) -> dict:
 @lru_cache(maxsize=4096)
 def _program(f: Formula):
     """Compile f into instructions over a list of extensions, one slot
-    per subformula: the atoms first, by index, then the other subformulas
-    in complexity order, so that children come before parents and f comes
-    last.  Returns the atoms' indices, the instructions (slot, kind, left
-    slot, right slot) in slot order, and whether f has a modal
-    subformula."""
-    order = sorted(subformulas(f),
-                   key=lambda g: (g.kind != ATOM, g.complexity, g.index))
+    per subformula in `Formula.key` order: atoms first, by index, children
+    before parents, f last.  Returns the atoms' indices, the instructions
+    (slot, kind, left slot, right slot) in slot order, and whether f has
+    a modal subformula."""
+    order = sorted(subformulas(f), key=lambda g: g.key)
     slot = {g: i for i, g in enumerate(order)}
     atoms = tuple(g.index for g in order if g.kind == ATOM)
     program = tuple((slot[g], g.kind, slot.get(g.left), slot.get(g.right))

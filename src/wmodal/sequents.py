@@ -79,8 +79,8 @@ class Sequent:
         _set(seq, "mode", mode)
         _set(seq, "found", ())
         _set(seq, "on_branch", False)
-        _intern[key] = seq
-        return seq
+        # Atomic, as the key hashes in C: threads get one object.
+        return _intern.setdefault(key, seq)
 
     def __setattr__(self, name, value=None):
         # Imported here: `dataclasses` loads `inspect` and `ast`, which

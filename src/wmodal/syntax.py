@@ -31,29 +31,25 @@ class Formula:
     """Immutable, interned formula node.
 
     Formulas are hash-consed: structurally equal formulas are the same
-    object, so equality is identity and hashing is O(1).
+    object, so equality, hashing and interning go by identity.
 
     `key` orders formulas canonically: complexity first, then a
     structural comparison.  It is built once, at interning, from the
     children's keys, so equal subformulas share one key object and it is
-    the same in every process.
+    the same in every process.  Identity hashes follow memory addresses,
+    so every order that output shows is by `key`, never a set's order.
     """
 
-    __slots__ = ("kind", "left", "right", "index", "uid", "complexity", "size",
-                 "key")
+    __slots__ = ("kind", "left", "right", "index", "complexity", "size", "key")
 
-    def __init__(self, kind, left, right, index, uid, complexity, size, key):
+    def __init__(self, kind, left, right, index, complexity, size, key):
         self.kind = kind
         self.left = left
         self.right = right
         self.index = index
-        self.uid = uid
         self.complexity = complexity
         self.size = size
         self.key = key
-
-    def __hash__(self):
-        return self.uid
 
     def __repr__(self):
         return "Formula(%s)" % render(self)
@@ -68,11 +64,10 @@ class Formula:
 _RANK = {AND: 2, OR: 3, IMP: 4, BOX: 5, DIA: 6}
 
 _intern: dict = {}
-_next_uid = [0]
 
 
 def _mk(kind, left=None, right=None, index=0):
-    key = (kind, left.uid if left else -1, right.uid if right else -1, index)
+    key = (kind, left, right, index)
     f = _intern.get(key)
     if f is not None:
         return f
@@ -86,10 +81,9 @@ def _mk(kind, left=None, right=None, index=0):
         cplx = 1 + left.complexity + right.complexity
         size = 1 + left.size + right.size
         order = (cplx, _RANK[kind], left.key, right.key)
-    f = Formula(kind, left, right, index, _next_uid[0], cplx, size, order)
-    _next_uid[0] += 1
-    _intern[key] = f
-    return f
+    # Atomic, as the key hashes in C: threads get one object.
+    return _intern.setdefault(key, Formula(kind, left, right, index, cplx,
+                                           size, order))
 
 
 bot = _mk(BOT)

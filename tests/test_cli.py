@@ -261,6 +261,26 @@ def test_derivation_failing_check_exit_70(capsys, monkeypatch, argv):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("argv", [
+    ["prove", "--logic", "WK", "[](p1 -> p2) -> ([]p1 -> []p2)"],
+    ["interpolate", "--logic", "WK", "p1 & p2", "p1 | p3"],
+])
+def test_derivations_are_rendered_only_in_the_format_printed(
+        capsys, monkeypatch, argv, fmt):
+    def boom(*args):
+        raise RuntimeError("rendered for the other format")
+
+    if fmt == "text":
+        monkeypatch.setattr(cli, "_derivation_doc", boom)
+    else:
+        monkeypatch.setattr(prover.Derivation, "pretty", boom)
+    code, out = run(capsys, *argv, "--format", fmt)
+    assert code == 0 and out
+    if fmt == "structured":
+        structured_lines(out)
+
+
 def test_countermodel_bad_max_worlds_exit_64(capsys):
     for n in ("0", "-2"):
         assert run(capsys, "countermodel", "--logic", "M", "p1",

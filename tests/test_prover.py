@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import sys
+import threading
 
 import pytest
 
@@ -346,6 +348,41 @@ def test_verdicts_independent_of_cache_order():
                 verdicts.append({f: decide(logic, f) for f in order})
             assert verdicts[0] == verdicts[1] == verdicts[2], name
     finally:
+        prover.clear_caches()
+
+
+def test_two_threads_give_the_single_threaded_verdicts():
+    # Search marks its branch and stores its results on the interned
+    # sequents that every thread shares; one search at a time keeps
+    # another thread's branch from blocking this one's instances.
+    space = sampling.formulas_up_to_size(5, num_atoms=2)
+    pairs = (("WK", "K"), ("WKT", "KT"))
+    expected = {}
+    for names in pairs:
+        prover.clear_caches()
+        for name in names:
+            expected[name] = [decide(get_logic(name), f) for f in space]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            prover.clear_caches()
+            got = {}
+
+            def run(names):
+                for name in names:
+                    got[name] = [decide(get_logic(name), f) for f in space]
+
+            threads = [threading.Thread(target=run, args=(names,))
+                       for names in pairs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+            assert got == expected
+    finally:
+        sys.setswitchinterval(interval)
         prover.clear_caches()
 
 

@@ -123,8 +123,8 @@ print(json.dumps([render(f) for f in norm_side(fs)]))
 
 
 def test_norm_side_is_the_same_in_every_process():
-    # Interning in opposite orders gives the formulas different uids, and
-    # hence different hashes and set orders, in the two processes.
+    # Interning in opposite orders puts the formulas at other addresses,
+    # and hence gives other hashes and set orders, in the two processes.
     texts = [render(f) for f in _formulas_with_sharing(random.Random(11), 60)]
     src = os.path.dirname(os.path.dirname(wmodal.__file__))
     outs = []
@@ -136,6 +136,61 @@ def test_norm_side_is_the_same_in_every_process():
         outs.append(json.loads(run.stdout))
     assert outs[0] == outs[1]
     assert outs[0] == [render(f) for f in norm_side(parse(t) for t in texts)]
+
+
+_SHOWN = """
+import json, sys
+from wmodal import interpolation, prover, semantics
+from wmodal.logics import get_logic
+from wmodal.sequents import norm_side
+from wmodal.syntax import conj, disj, imp, parse, render, subformulas
+texts = json.load(sys.stdin)
+if sys.argv[1] == "moved":
+    junk = [[i] * (i % 9) for i in range(100_000)]
+    fs = [parse(t) for t in texts[::-1]][::-1]
+else:
+    fs = [parse(t) for t in texts]
+subs = set().union(*map(subformulas, fs))
+out = {"set": [render(f) for f in subs],
+       "norm_side": [render(f) for f in norm_side(subs)],
+       "program": [repr(semantics._program(f)) for f in fs],
+       "proofs": [], "craig": [], "countermodels": []}
+for name in ("WK", "K", "WKT", "MCT"):
+    logic = get_logic(name)
+    for f in fs:
+        res = prover.prove(logic, prover.goal(logic, f))
+        if res.proved:
+            out["proofs"].append(res.derivation.pretty())
+        elif name in ("WK", "K"):
+            found = semantics.enumerate_countermodel(logic, f, 2)
+            if found:
+                out["countermodels"].append(semantics.model_to_json(found[0]))
+wkt = get_logic("WKT")
+for a, b, c in zip(fs, fs[1:], fs[2:]):
+    res = interpolation.craig(wkt, conj(a, imp(a, b)), disj(b, c))
+    out["craig"].append(render(res.interpolant))
+print(json.dumps(out))
+"""
+
+
+def test_output_does_not_depend_on_memory_addresses():
+    # Formulas hash by identity, so a set of them iterates in an order
+    # that follows their addresses.  The second interpreter allocates
+    # 100,000 objects first and interns the formulas in reverse order.
+    rng = random.Random(5)
+    texts = [render(sampling.random_formula(rng, rng.randint(2, 7)))
+             for _ in range(40)]
+    src = os.path.dirname(os.path.dirname(wmodal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    outs = []
+    for how in ("plain", "moved"):
+        run = subprocess.run([sys.executable, "-c", _SHOWN, how],
+                             input=json.dumps(texts), capture_output=True,
+                             text=True, env=env, timeout=60, check=True)
+        outs.append(json.loads(run.stdout))
+    assert outs[0].pop("set") != outs[1].pop("set")
+    assert outs[0] == outs[1]
+    assert all(outs[0].values())
 
 
 def test_sequent_contract():
