@@ -55,6 +55,46 @@ premise would be derivable.  A failure that reuses another takes the union of
 their F and C, and a derivation built on another the union of their
 rules, so reuse composes.  A failure below a loop block is not stored:
 another branch context may permit a derivation there.
+
+A constructive logic WL is the single-succedent restriction of its base
+L = `LOGICS[WL.base]`, so a derivation of a sequent in WL becomes one of
+the same sequent in L once weakening and contraction, both admissible
+in L, are added.  Each rule of WL maps to one of L:
+
+- the renamed modal rules (iMbox, iTbox, ...), iKdia and iCD: on a
+  conclusion with at most one succedent formula the classical rule has
+  the same premises;
+- idualandK and iCDbox: Kdia and CD, whose premise also holds the
+  subformulas of the succedent diamonds; weaken them in;
+- iTdia and constructive Ror: Tdia and classical Ror, whose premise is
+  the constructive one weakened by the principal or the other disjunct;
+- constructive Limp, with premises G, A->B |- A and G, B |- D: invert
+  classical Limp in the first (height-preserving) to G |- A, A, contract
+  to G |- A and weaken to G |- D, A, classical Limp's left premise;
+- the other propositional rules are the same in both modes.
+
+So a failure on the classical twin of a sequent S, the sequent of this
+epoch with S's sides, that serves a logic refutes S in that logic's
+constructive counterpart.  A constructive rule corresponds to a classical
+rule when, over the 14 pairs of a logic and its constructive
+counterpart, the classical rule is in the one exactly when the
+constructive rule is in the other: iMbox, iMdia and idualandM to each of
+Mbox, Mdia, dualandM and dualorM, iTbox and iTdia to Tbox and Tdia, every
+propositional rule to every other.  A classical rule without one would
+correspond to every rule.  After S's own results miss, search looks the
+twin up (`sequents.interned`, which interns nothing); if a failure
+(F, X, C) kept there serves L, S fails at once with (F', X', C'), F' = X'
+the rules corresponding to those of X and C' those corresponding to
+those of C.  No rule of X is in L, so none of X' is in WL, and WL's
+`_fail` keeps X' as it is.  Let (F', X', C') serve W'' with base B''.  A
+rule of X in B'' would put its corresponding rules, in X', in W''; a
+rule of C outside B'' would keep its corresponding rules, in C', out of
+W''.  So (F, X, C) serves B'', the twin is underivable in B'', and S in
+W''.  (Were X' or C' every rule, the failure would serve only logics
+whose rules are all WL's, or none.)  That is all the induction above
+asks of a failed premise, so the triple composes with its parents.  A
+twin refutation is counted apart (`SearchStats.twin_refutations`), not
+as a node: it costs no budget and never marks S on the branch.
 """
 
 from __future__ import annotations
@@ -67,7 +107,7 @@ from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from . import calculus, sequents, syntax
 from .calculus import RULES, RuleInstance, Shape
-from .logics import Logic
+from .logics import LOGICS, Logic
 from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent
 from .syntax import Formula
 
@@ -186,6 +226,7 @@ class SearchStats(NamedTuple):
     nodes: int = 0
     loop_blocks: int = 0
     elapsed: float = 0.0
+    twin_refutations: int = 0
 
 
 class ProofResult(NamedTuple):
@@ -213,6 +254,49 @@ _set = object.__setattr__
 _NO_HISTORY: frozenset = frozenset()
 _lock = _thread.allocate_lock()     # one search at a time
 
+_EVERY_RULE = calculus.mask(RULES)
+
+
+def _correspondence() -> Dict[int, int]:
+    """The bit of each classical rule, mapped to the constructive rules
+    that correspond to it (module docstring), or to every rule if none
+    does."""
+    # The catalogue pairs, by their constructive logic, whose classical
+    # or constructive logic has each rule.
+    classical: Dict[str, set] = {}
+    constructive: Dict[str, set] = {}
+    for w in LOGICS.values():
+        if w.mode == CONSTRUCTIVE:
+            for name in LOGICS[w.base].rules:
+                classical.setdefault(name, set()).add(w.name)
+            for name in w.rules:
+                constructive.setdefault(name, set()).add(w.name)
+    by_pairs: Dict[frozenset, int] = {}
+    for name, where in constructive.items():
+        key = frozenset(where)
+        by_pairs[key] = by_pairs.get(key, 0) | calculus.BITS[name]
+    return {calculus.BITS[name]: by_pairs.get(frozenset(where), _EVERY_RULE)
+            for name, where in classical.items()}
+
+
+_CORRESPONDING = _correspondence()
+# Few distinct X and C of failures on twins occur: translate each once.
+_translations: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+
+def _translated(x: int, c: int) -> Tuple[int, int]:
+    """The rules corresponding to those of x, and to those of c."""
+    t = _translations.get((x, c))
+    if t is None:
+        tx = tc = 0
+        for bit, rules in _CORRESPONDING.items():
+            if bit & x:
+                tx |= rules
+            if bit & c:
+                tc |= rules
+        t = _translations[x, c] = tx, tc
+    return t
+
 
 class Engine:
     """Search engine of one logic over the results of its mode."""
@@ -231,6 +315,10 @@ class Engine:
         self.rules = [(r, calculus.BITS[r.name], commit)
                       for r, commit in rules]
         self.mask = calculus.mask(logic.rules)
+        # A constructive logic's base, whose failures on a classical twin
+        # refute (module docstring); 0 in a classical logic.
+        self._twin_mask = (calculus.mask(LOGICS[logic.base].rules)
+                           if mode == CONSTRUCTIVE else 0)
         # The rules whose principals go into the history: the classical
         # T rules, which keep their principal.
         self._t_rules = calculus.mask(("Tbox", "Tdia")) & self.mask
@@ -252,28 +340,40 @@ class Engine:
             d = found[0]
             return _REFUTED if d is None else ProofResult(True, d, _UNSEARCHED)
         with _lock:
-            self._nodes = self._blocks = 0
+            self._nodes = self._blocks = self._twins = 0
             self._max_nodes = budget.max_nodes
             self._start = time.monotonic()
             self._deadline = self._start + budget.timeout_secs
             deriv, _ = self._search(seq, _NO_HISTORY)
             stats = SearchStats(self._nodes, self._blocks,
-                                time.monotonic() - self._start)
+                                time.monotonic() - self._start, self._twins)
         return ProofResult(deriv is not None, deriv, stats)
 
     # -- internals --------------------------------------------------------
-    def _stored(self, seq: Sequent):
+    def _stored(self, seq: Sequent, mask: int = 0):
         """(derivation, None) or (None, failure) for an entry of seq.found
-        that serves this logic, else None: a derivation when this logic has
-        all its rules, a failure when it has none of X and all of C; never
-        both kinds."""
-        mask = self.mask
+        that serves this logic, or the logic of the rules in mask: a
+        derivation when the logic has all its rules, a failure when it has
+        none of X and all of C; never both kinds.  Else None."""
+        mask = mask or self.mask
         for x in seq.found:
             if x.__class__ is Derivation:
                 if not x.mask & ~mask:
                     return x, None
             elif not (x[1] & mask or x[2] & ~mask):
                 return None, x
+        return None
+
+    def _twin_failure(self, seq: Sequent) -> Optional[Failure]:
+        """When a failure kept on seq's classical twin serves the base
+        logic, which refutes seq in this one (module docstring), the
+        failure then stored on seq; else None."""
+        twin = sequents.interned(seq.ant, seq.suc, CLASSICAL)
+        if twin is not None:
+            found = self._stored(twin, self._twin_mask)
+            if found is not None and found[0] is None:
+                e = found[1]
+                return self._fail(seq, *_translated(e[1], e[2]))
         return None
 
     def _served(self, i: int) -> set:
@@ -311,6 +411,11 @@ class Engine:
         found = self._stored(seq)
         if found is not None:
             return found
+        if self._twin_mask:
+            e = self._twin_failure(seq)
+            if e is not None:
+                self._twins += 1
+                return None, e
         self._tick()
         try:
             _set(seq, "on_branch", True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import attrgetter
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 from . import syntax
 from .syntax import Formula
@@ -116,6 +116,13 @@ class Sequent:
         left = ", ".join(syntax.render(f) for f in self.ant)
         right = ", ".join(syntax.render(f) for f in self.suc)
         return "%s |- %s" % (left, right)
+
+
+def interned(ant: Tuple[Formula, ...], suc: Tuple[Formula, ...],
+             mode: str) -> Optional[Sequent]:
+    """The sequent of this epoch with the normalized sides ant and suc in
+    mode, or None; unlike `Sequent`, it builds none."""
+    return _intern.get((ant, suc, mode))
 
 
 def new_epoch():

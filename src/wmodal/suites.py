@@ -223,6 +223,10 @@ def constructive_to_classical_suite(per_logic: int, seed: int) -> List[str]:
             continue
         classical = LOGICS[logic.base]
         for i in range(per_logic):
+            # A classical failure kept in the epoch refutes a constructive
+            # candidate through its twin: sampled from cleared caches, a
+            # W theorem that the inclusion loses is reported, not skipped.
+            prover.clear_caches()
             f = sampling.sample_theorem(logic, rng)
             if not prover.decide(classical, f):
                 bad.append("W-to-classical failed %s->%s on %s [seed=%d#%d]"

@@ -54,8 +54,9 @@ def test_classical_k_proves_dual_or():
 # logics before it in its mode stored: the sha256 of each verdict, node
 # and loop-block count and each proof's (rule, conclusion) steps.  A change
 # to rule matching or search that keeps the calculi and what is stored
-# keeps this digest.
-SEARCH_DIGEST = "8a508198fff06c1caa151716c535bbc2a270bc67b9bacaa8030c9975bdb6e2b5"
+# keeps this digest.  Each base logic precedes its constructive logic, so
+# the constructive logics read its failures through the classical twin.
+SEARCH_DIGEST = "b1abfacc11903ac4b8c3c731b9a488b364c1de70f34325af30e53fe09257ee8d"
 
 
 def test_search_results_of_size5_space_unchanged():
@@ -484,6 +485,85 @@ def test_stored_proof_is_returned_without_search():
         prover.clear_caches()
 
 
+def test_classical_failure_refutes_the_constructive_twin():
+    # WM is the single-succedent restriction of M: M's failure on the
+    # same sides refutes the goal in WM with no node searched.
+    m, wm = get_logic("M"), get_logic("WM")
+    f = parse("[]p1 -> p1")
+    prover.clear_caches()
+    try:
+        assert not decide(m, f)
+        res = prove(wm, prover.goal(wm, f))
+        assert not res.proved
+        assert (res.stats.nodes, res.stats.twin_refutations) == (0, 1)
+    finally:
+        prover.clear_caches()
+
+
+def test_classical_proof_leaves_the_constructive_search_to_run():
+    m, wm = get_logic("M"), get_logic("WM")
+    f = parse("p1 | ~p1")
+    prover.clear_caches()
+    try:
+        assert decide(m, f)
+        res = prove(wm, prover.goal(wm, f))
+        assert not res.proved and res.stats.nodes > 0
+    finally:
+        prover.clear_caches()
+
+
+def test_twin_refutation_serves_the_logics_its_twin_failure_serves():
+    # MN refutes []p1 -> p1 and WMN fails through the twin.  That failure
+    # serves WM, a rule subset of WMN, and WMC, whose base MC MN's failure
+    # serves too.  It does not serve WMT: MN's failure lacked Tbox, and
+    # WMT has iTbox, which corresponds to it.  WMT proves the goal itself.
+    mn, wmn, wmt = get_logic("MN"), get_logic("WMN"), get_logic("WMT")
+    f = parse("[]p1 -> p1")
+    prover.clear_caches()
+    try:
+        assert not decide(mn, f)
+        res = prove(wmn, prover.goal(wmn, f))
+        assert not res.proved and res.stats.twin_refutations == 1
+        for name in ("WM", "WMC"):
+            logic = get_logic(name)
+            assert prove(logic, prover.goal(logic, f)) == prover.ProofResult(
+                False, None, prover.SearchStats()), name
+        res = prove(wmt, prover.goal(wmt, f))
+        assert res.proved and check(wmt, res.derivation)
+        assert res.stats.nodes > 0
+    finally:
+        prover.clear_caches()
+
+
+def test_every_classical_rule_has_corresponding_constructive_rules():
+    # Else a failure on a twin would serve only rule subsets of the
+    # constructive logic that reads it.
+    names = {bit: name for name, bit in calculus.BITS.items()}
+    for bit, rules in prover._CORRESPONDING.items():
+        assert rules != prover._EVERY_RULE, names[bit]
+    corresponding = {names[b] for b in names if b & prover._CORRESPONDING[
+        calculus.BITS["dualorM"]]}
+    assert corresponding == {"iMbox", "iMdia", "idualandM"}
+
+
+def test_constructive_search_interns_no_classical_sequent():
+    k, wk = get_logic("K"), get_logic("WK")
+    space = sampling.formulas_up_to_size(4, num_atoms=2)
+    prover.clear_caches()
+    try:
+        for f in space:
+            decide(k, f)
+        before = set(sequents._intern.values())
+        twins = 0
+        for f in space:
+            twins += prove(wk, prover.goal(wk, f)).stats.twin_refutations
+        assert twins > 0
+        assert all(s in before for s in sequents._intern.values()
+                   if s.mode != CONSTRUCTIVE)
+    finally:
+        prover.clear_caches()
+
+
 def test_mode_mismatch_rejected():
     with pytest.raises(ValueError):
         prove(get_logic("K"), Sequent((), (p,), CONSTRUCTIVE))
@@ -542,3 +622,27 @@ def test_inclusion_suite_decides_each_target_from_cleared_caches(
     finally:
         prover.clear_caches()
     assert len(stored) == 22 and not any(stored)
+
+
+def test_w_to_classical_suite_samples_each_theorem_from_cleared_caches(
+        monkeypatch):
+    # A classical failure kept in the epoch would refute a candidate
+    # through its twin, so a broken inclusion would lose the W theorem
+    # instead of reporting it.
+    from wmodal import suites
+    sizes = []
+
+    class Sampling:
+        def __getattr__(self, name):
+            return getattr(sampling, name)
+
+        def sample_theorem(self, logic, rng, *args, **kwargs):
+            sizes.append(prover.cache_sizes()["sequents"])
+            return sampling.sample_theorem(logic, rng, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "sampling", Sampling())
+    try:
+        assert suites.constructive_to_classical_suite(2, seed=2026) == []
+    finally:
+        prover.clear_caches()
+    assert len(sizes) == 28 and not any(sizes)

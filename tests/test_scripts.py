@@ -59,6 +59,33 @@ def test_termination_sweep_counts_nodes_and_loop_blocks():
     assert int(rows[0][2]) > 0
 
 
+def test_termination_sweep_counts_twin_refutations():
+    proc = run_script("termination_sweep.py", "--max-size", "4",
+                      "--logics", "K,WK")
+    rows = re.findall(r"^(\w+) +\d+ theorems +(\d+) from store +(\d+) nodes "
+                      r"+(\d+) loop blocks +(\d+) twin refutations ",
+                      proc.stdout.decode(), re.M)
+    expected = []
+    prover.clear_caches()
+    try:
+        for name in ("K", "WK"):
+            logic = LOGICS[name]
+            stats = [prover.prove(logic, prover.goal(logic, f)).stats
+                     for f in sampling.formulas_up_to_size(4, 2)]
+            # a goal refuted through its twin is not answered from the store
+            expected.append((name,
+                             str(sum(not s.nodes and not s.twin_refutations
+                                     for s in stats)),
+                             str(sum(s.nodes for s in stats)),
+                             str(sum(s.loop_blocks for s in stats)),
+                             str(sum(s.twin_refutations for s in stats))))
+    finally:
+        prover.clear_caches()
+    assert rows == expected, proc.stdout.decode()
+    # K searches first, so its failures refute WK's goals through the twin.
+    assert int(rows[0][4]) == 0 and int(rows[1][4]) > 0
+
+
 def test_countermodel_sweep_prints_a_row_per_logic():
     proc = run_script("countermodel_sweep.py", "--max-size", "3",
                       "--logics", "K,WK", "--max-worlds", "2")
