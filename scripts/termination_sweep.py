@@ -5,9 +5,10 @@ Decides every formula up to a given AST size (over a small atom
 alphabet) in every logic.  Per logic it reports the theorems, how many
 decisions the store shared by the logics of a mode answered without
 search, the nodes and loop blocks of the searches, the sequents refuted
-through their classical twin, and the time; at the end, the sizes of the
-caches (`prover.cache_sizes`).  A goal refuted through its twin also
-reports 0 nodes, but is not counted as answered from the store.
+through their classical twin, the commits to modus ponens, and the
+time; at the end, the sizes of the caches (`prover.cache_sizes`).  A
+goal refuted through its twin also reports 0 nodes, but is not counted
+as answered from the store.
 This is the operational check that backward search halts on the whole
 small-formula space without hitting budgets.
 
@@ -54,7 +55,7 @@ def main() -> int:
     grand_start = time.monotonic()
     for name in names:
         logic = LOGICS[name]
-        theorems = stored = nodes = blocks = twins = 0
+        theorems = stored = nodes = blocks = twins = mps = 0
         t0 = time.monotonic()
         for f in space:
             try:
@@ -65,12 +66,13 @@ def main() -> int:
                 nodes += stats.nodes
                 blocks += stats.loop_blocks
                 twins += stats.twin_refutations
+                mps += stats.mp_commits
             except prover.BudgetExceeded as e:
                 overruns += 1
                 print("  BUDGET EXCEEDED %s: %s" % (name, e))
         print("%-4s %6d theorems  %6d from store  %8d nodes  %6d loop blocks"
-              "  %6d twin refutations  %6.2fs"
-              % (name, theorems, stored, nodes, blocks, twins,
+              "  %6d twin refutations  %6d mp commits  %6.2fs"
+              % (name, theorems, stored, nodes, blocks, twins, mps,
                  time.monotonic() - t0))
     print("total %.1fs, %d budget overruns" % (time.monotonic() - grand_start,
                                                overruns))

@@ -48,6 +48,13 @@ class _Out:
         print(shown)
 
 
+def _stats_doc(stats):
+    """The search counts of a prove or decide record."""
+    return {"nodes": stats.nodes, "loop_blocks": stats.loop_blocks,
+            "twin_refutations": stats.twin_refutations,
+            "mp_commits": stats.mp_commits}
+
+
 def _derivation_doc(d):
     """The derivation as nested records.  A shared subderivation appears
     in full once, with an "id", and later as {"ref": id, "sequent": ...}."""
@@ -95,13 +102,11 @@ def cmd_prove(args, out):
     if res.proved:
         d = _checked(logic, res.derivation)
         out.emit(lambda: {"command": "prove", "logic": logic.name,
-                          "status": "proved", "nodes": res.stats.nodes,
-                          "loop_blocks": res.stats.loop_blocks,
+                          "status": "proved", **_stats_doc(res.stats),
                           "derivation": _derivation_doc(d)}, d.pretty)
         return EX_OK
     out.emit({"command": "prove", "logic": logic.name,
-              "status": "not-derivable", "nodes": res.stats.nodes,
-              "loop_blocks": res.stats.loop_blocks},
+              "status": "not-derivable", **_stats_doc(res.stats)},
              "not derivable (%d nodes explored)" % res.stats.nodes)
     return EX_NEGATIVE
 
@@ -114,8 +119,7 @@ def cmd_decide(args, out):
     out.emit({"command": "decide", "logic": logic.name,
               "formula": syntax.render(f),
               "status": "theorem" if theorem else "non-theorem",
-              "nodes": res.stats.nodes,
-              "loop_blocks": res.stats.loop_blocks},
+              **_stats_doc(res.stats)},
              "theorem" if theorem else "non-theorem")
     return EX_OK if theorem else EX_NEGATIVE
 

@@ -11,6 +11,48 @@ Threads share the interned sequents, so one search runs at a time, under
 rules tried at a node are looked up by the formula kinds of its sides
 (`calculus.fitting`).
 
+Two steps commit at once, and certify with the paper's rules alone:
+
+- identity: a node, in either mode, whose succedent formula D is
+  compound and also in its antecedent is closed by a derivation of
+  D |- D, weakened to the node (`_weakened`: each contextual node rebuilt
+  at the larger conclusion by the instance with the same principal; a
+  node without context keeps its premises, since those rules take any
+  context).  D |- D is built, not searched, bottom-up over D's
+  subformulas: p |- p by init, bot |- bot by Lbot, a propositional D by
+  its rule on each side, whose premises the weakened identities of D's
+  components close, and []A |- []A or <>A |- <>A by the logic's first
+  rule whose instance has the one premise A |- A.  Every logic of the
+  catalogue has one for each modality: Mbox and Mdia, Cbox and Cdia, or
+  Kbox and Kdia, and their constructive rules.  So the step closes only
+  derivable nodes, with a derivation, and changes no verdict.  An
+  identity is kept on D |- D, like any derivation, until `clear_caches`;
+- modus ponens: a constructive node S = G |- D whose antecedent holds
+  A -> B and A commits to constructive Limp on A -> B, once Lbot, init,
+  Land and Lor do not apply, and before the succedent's rules would
+  split D.  Its left premise G |- A is closed by A's identity (init for
+  an atom), and only its right premise R, G with B for A -> B, is
+  searched.  This is complete because constructive Limp is
+  height-preserving invertible in its right premise in every
+  constructive calculus here: from G', A -> B |- D derived in height h,
+  G', B |- D is derived in height at most h.  By induction on h: where
+  A -> B is the last rule's principal, its right premise is that
+  sequent; the other propositional rules and iTbox, iTdia keep A -> B
+  in each premise's antecedent (Limp keeps its whole antecedent in the
+  left premise), so replace it there and apply the same rule; init and
+  Lbot stay axioms; and a rule without context has modal principals and
+  takes any context.  So S derivable in a logic makes R derivable there,
+  and a failure of R refutes S: it is stored with Limp's bit in C, as
+  any commit's failure.  An instance whose R is on the branch is
+  blocked; search tries the next, and backtracks over Limp as before
+  once none is left.  Searching
+  the left premise instead is incomplete (the search meets S again as a
+  loop block), and committing only for an atomic A (Dyckhoff,
+  "Contraction-free sequent calculi for intuitionistic logic", JSL 1992)
+  leaves large consequents to the backtracking.  For the inversion see
+  Troelstra & Schwichtenberg, "Basic Proof Theory" (2nd ed. 2000), the
+  G3ip inversion lemmas.
+
 The classical T rules keep their principal, so Tbox and Tdia would fire
 again once the copy they added has been decomposed.  Search applies
 each at most once per principal on a segment of the branch, the nodes
@@ -30,8 +72,18 @@ higher.  So the skipped instance, whose premise is S plus A, ends no
 derivation of S of least height.  Tdia on <>A is the dual case, with A
 in the succedent.  That is a property of S, in every classical logic
 and on every branch: a failure found under a history is as pure as one
-found without.  The constructive T rules (iTbox, iTdia) go into no
-history.
+found without.
+
+iTbox goes into the history too, by the antecedent half of that
+argument.  Each constructive contextual rule keeps its conclusion's
+antecedent in its premises, or replaces its principal there by
+components through a premise for which it is height-preserving
+invertible: Land, Lor, and Limp's right premise; Limp's left premise
+keeps the whole antecedent.  So if iTbox on []A was applied in the
+segment above S, S's antecedent holds the branch residue of A, and
+inverting those rules turns a derivation of S with A added to its
+antecedent into one of S, no higher.  iTdia stays out: it drops <>A
+from the succedent, where the constructive rules are not invertible.
 
 The 14 logics of a mode share the results search keeps on each sequent
 (`Sequent.found`), sets of rules being ints of `calculus.BITS`:
@@ -49,9 +101,10 @@ height.  Where L did not commit, the derivation's last rule fits the
 node, so L has it.  L tried each instance of that rule, finding a
 failed premise in each, but for those it skipped as T instances on a
 principal of the history; by the argument above, in L'' as in any
-classical logic, none of those ends a derivation of least height.
-Where L committed, the rule is invertible in L'' too, so the failed
-premise would be derivable.  A failure that reuses another takes the union of
+logic of the mode, none of those ends a derivation of least height.
+Where L committed, the rule is invertible in L'' too, or, for modus
+ponens, Limp in its right premise, so the failed premise would be
+derivable.  A failure that reuses another takes the union of
 their F and C, and a derivation built on another the union of their
 rules, so reuse composes.  A failure below a loop block is not stored:
 another branch context may permit a derivation there.
@@ -109,7 +162,7 @@ from . import calculus, sequents, syntax
 from .calculus import RULES, RuleInstance, Shape
 from .logics import LOGICS, Logic
 from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent
-from .syntax import Formula
+from .syntax import AND, ATOM, BOT, BOX, DIA, IMP, OR, Formula
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
@@ -227,6 +280,7 @@ class SearchStats(NamedTuple):
     loop_blocks: int = 0
     elapsed: float = 0.0
     twin_refutations: int = 0
+    mp_commits: int = 0
 
 
 class ProofResult(NamedTuple):
@@ -255,6 +309,47 @@ _NO_HISTORY: frozenset = frozenset()
 _lock = _thread.allocate_lock()     # one search at a time
 
 _EVERY_RULE = calculus.mask(RULES)
+
+# The kinds of the succedent formulas that the identity step closes;
+# init and Lbot close the others.
+_COMPOUND = frozenset((AND, OR, IMP, BOX, DIA))
+# The rule that closes a sequent holding an atom, or bot, on both sides.
+_AXIOM = {ATOM: "init", BOT: "Lbot"}
+# D |- D for a propositional D: the first rule on D, then the second on D
+# in each premise, whose premises the identities of D's components close.
+_ID_RULES = {AND: ("Land", "Rand"), OR: ("Lor", "Ror"), IMP: ("Rimp", "Limp")}
+
+
+def _premises(rule: calculus.Rule, seq: Sequent,
+              principal: tuple) -> Tuple[Sequent, ...]:
+    """The premises of rule's instance at seq with the given principal."""
+    for prems, p in rule.build(Shape(seq.mode, seq.ant, seq.suc)):
+        if p == principal:
+            return tuple(Sequent(a, s, seq.mode) for a, s in prems)
+    raise ValueError("%s has no instance on %r" % (rule.name, principal))
+
+
+def _weakened(d: Derivation, seq: Sequent) -> Derivation:
+    """d, a derivation of a sequent whose sides seq's include, rebuilt as
+    a derivation of seq.  A contextual node is rebuilt at the larger
+    conclusion by the instance with the same principal, and its premises
+    so in turn; a node without context keeps its premises, since those
+    rules take any context."""
+    memo: Dict[tuple, Derivation] = {}
+
+    def weaken(d, seq):
+        if d.conclusion is seq:
+            return d
+        w = memo.get((d, seq))
+        if w is None:
+            rule = RULES[d.rule]
+            kids = d.children
+            if rule.contextual and kids:
+                kids = tuple(map(weaken, kids,
+                                 _premises(rule, seq, d.principal)))
+            w = memo[d, seq] = Derivation(d.rule, seq, d.principal, kids)
+        return w
+    return weaken(d, seq)
 
 
 def _correspondence() -> Dict[int, int]:
@@ -312,6 +407,12 @@ class Engine:
              if r.name in logic.rules and mode in r.invertible]
             + [(RULES[name], False) for name in logic.rules
                if mode not in RULES[name].invertible])
+        if mode == CONSTRUCTIVE:
+            # Modus ponens after Land and Lor, the invertible rules on the
+            # antecedent, before those on the succedent (module docstring).
+            rules.insert(rules.index((RULES["Lor"], True)) + 1,
+                         (RULES["Limp"]._replace(build=self._modus_ponens),
+                          True))
         self.rules = [(r, calculus.BITS[r.name], commit)
                       for r, commit in rules]
         self.mask = calculus.mask(logic.rules)
@@ -320,8 +421,12 @@ class Engine:
         self._twin_mask = (calculus.mask(LOGICS[logic.base].rules)
                            if mode == CONSTRUCTIVE else 0)
         # The rules whose principals go into the history: the classical
-        # T rules, which keep their principal.
-        self._t_rules = calculus.mask(("Tbox", "Tdia")) & self.mask
+        # T rules, which keep their principal, and iTbox.
+        self._t_rules = calculus.mask(("Tbox", "Tdia", "iTbox")) & self.mask
+        # The rule without context that strips the modality of a modal
+        # identity, by kind, with the length of its principal; found as
+        # identities are built.
+        self._strips: Dict[str, Tuple[str, int]] = {}
         # `_steps` by the rules of this logic that fit a conclusion, filled
         # as search meets them; it holds no search result.
         self._table: Dict[int, tuple] = {}
@@ -340,13 +445,14 @@ class Engine:
             d = found[0]
             return _REFUTED if d is None else ProofResult(True, d, _UNSEARCHED)
         with _lock:
-            self._nodes = self._blocks = self._twins = 0
+            self._nodes = self._blocks = self._twins = self._mps = 0
             self._max_nodes = budget.max_nodes
             self._start = time.monotonic()
             self._deadline = self._start + budget.timeout_secs
             deriv, _ = self._search(seq, _NO_HISTORY)
             stats = SearchStats(self._nodes, self._blocks,
-                                time.monotonic() - self._start, self._twins)
+                                time.monotonic() - self._start, self._twins,
+                                self._mps)
         return ProofResult(deriv is not None, deriv, stats)
 
     # -- internals --------------------------------------------------------
@@ -420,6 +526,13 @@ class Engine:
         try:
             _set(seq, "on_branch", True)
             c = Shape(seq.mode, seq.ant, seq.suc)
+            # Identity: a compound succedent formula in the antecedent.
+            if seq.ant:
+                for f in seq.suc:
+                    if f.kind in _COMPOUND and f in c.ant_set:
+                        d = self._closed(seq, f)
+                        if d is not None:
+                            return d, None
             fits = calculus.fitting(c)
             # The union of the failed premises' F and C, for a pure failure.
             f_all, c_all = fits, 0
@@ -465,6 +578,96 @@ class Engine:
         finally:
             # A mark left behind would block instances in later searches.
             _set(seq, "on_branch", False)
+
+    def _modus_ponens(self, c: Shape):
+        """The builder of the modus-ponens step: the instances of
+        constructive Limp on an A -> B whose A is in c's antecedent.
+        Their left premise holds A on both sides, so the identity step,
+        or init for an atom, closes it at once."""
+        for prems, principal in RULES["Limp"].build(c):
+            if principal[0].left in c.ant_set:
+                self._mps += 1
+                yield prems, principal
+
+    def _closed(self, seq: Sequent, f: Formula) -> Optional[Derivation]:
+        """The identity of f, compound, weakened to seq, which holds f on
+        both sides, and kept on seq; None when f has no identity."""
+        d = self._identity(f)
+        if d is not None and d.conclusion is not seq:
+            d = _weakened(d, seq)
+            _set(seq, "found", seq.found + (d,))
+        return d
+
+    def _identity(self, f: Formula) -> Optional[Derivation]:
+        """A derivation of f |- f, f compound, that serves this logic, kept
+        on that sequent.  One is built, if none is kept, bottom-up over the
+        compound subformulas of f in one loop, so a deep f takes no deep
+        recursion.  None when this logic strips no modality of one of
+        them."""
+        mode = self.logic.mode
+        ids: Dict[Formula, Optional[Derivation]] = {}
+        build = []
+        todo = [f]
+        while todo:
+            g = todo.pop()
+            if g not in ids:
+                seq = Sequent((g,), (g,), mode)
+                found = self._stored(seq)
+                if found is None:
+                    ids[g] = None
+                    build.append(seq)
+                    todo.extend(h for h in (g.left, g.right)
+                                if h is not None and h.kind in _COMPOUND)
+                else:
+                    ids[g] = found[0]
+        # Children before parents: `key` orders by complexity first.
+        for seq in sorted(build, key=lambda s: s.ant[0].key):
+            d = self._identity_node(seq, ids)
+            if d is None:
+                return None
+            _set(seq, "found", seq.found + (d,))
+            ids[seq.ant[0]] = d
+        return ids[f]
+
+    def _identity_node(self, seq: Sequent, ids) -> Optional[Derivation]:
+        """A derivation of seq, f |- f, from the identities ids of f's
+        compound immediate subformulas."""
+        f = seq.ant[0]
+
+        def close(q, g):
+            # q holds g, a component of f, on both sides.
+            if g.kind in _AXIOM:
+                return Derivation(_AXIOM[g.kind], q, (g,))
+            return _weakened(ids[g], q)
+        if f.kind in (BOX, DIA):
+            # The logic's first rule whose instance has the one premise
+            # A |- A.  Which rule that is does not depend on A, and the
+            # instance's principals are all f: it is found once.
+            a = Sequent((f.left,), (f.left,), seq.mode)
+            strip = self._strips.get(f.kind)
+            if strip is None:
+                c = Shape(seq.mode, seq.ant, seq.suc)
+                strip = next(((name, len(principal))
+                              for name in self.logic.rules
+                              if not RULES[name].contextual
+                              for prems, principal in calculus.instances(
+                                  RULES[name], c)
+                              if prems == (a,)), None)
+                if strip is None:
+                    return None
+                self._strips[f.kind] = strip
+            name, n = strip
+            return Derivation(name, seq, (f,) * n, (close(a, f.left),))
+        first, second = _ID_RULES[f.kind]
+        kids = []
+        for p in _premises(RULES[first], seq, (f,)):
+            # Constructive Ror names the disjunct it keeps.
+            principal = ((f, p.ant[0]) if second == "Ror"
+                         and seq.mode == CONSTRUCTIVE else (f,))
+            kids.append(Derivation(second, p, principal, tuple(
+                close(q, next(g for g in q.suc if g in q.ant))
+                for q in _premises(RULES[second], p, principal))))
+        return Derivation(first, seq, (f,), tuple(kids))
 
     def _fail(self, seq: Sequent, fitted: int, committed: int) -> Failure:
         share = _shared.setdefault

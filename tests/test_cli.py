@@ -63,18 +63,20 @@ def test_prove_structured_output(capsys):
     assert rec["derivation"]["rule"] == "Rimp"
 
 
-# Its WMNT proof has 302 distinct nodes and about 1.5e14 as a tree.
+# Its WMNT proof has 28 distinct nodes and 171 as a tree.
 WMNT_SHARED = ("[](p1 | p1 | p1), [][]<>p1, [](p2 | p3), <>bot, [](p3 | p2), "
                "[](p1 & p2), [][][]p1, []<>p2, [](p1 | p2) |- <>[]p2")
 
 
 def test_closed_stdout_exit_74_without_message():
-    # The proof text is about 129 KB, more than a pipe holds, so the
-    # writer meets the closed pipe.
+    # The proof text of this identity, 201 lines each repeating its
+    # sequent, is about 124 KB, more than a pipe holds, so the writer
+    # meets the closed pipe.
+    chain = "[]" * 200 + "p1"
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.Popen(
         [sys.executable, "-m", "wmodal.cli", "prove", "--logic", "WMNT",
-         WMNT_SHARED], env=dict(os.environ, PYTHONPATH=src),
+         "%s |- %s" % (chain, chain)], env=dict(os.environ, PYTHONPATH=src),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline()
     proc.stdout.close()
@@ -109,6 +111,11 @@ def test_prove_renders_shared_proof_once(capsys):
     assert sum("[see #" in line for line in lines) == len(refs)
 
 
+def _counts(rec):
+    return tuple(rec[k] for k in ("nodes", "loop_blocks", "twin_refutations",
+                                  "mp_commits"))
+
+
 def test_structured_results_count_nodes_and_loop_blocks(capsys):
     # From cleared caches, as `prove` and `decide` run in a fresh process.
     wkt = ("[]<>p3, []<>[]p2, [](bot -> p1), [](p3 | p3), [](p1 | p1), "
@@ -120,13 +127,27 @@ def test_structured_results_count_nodes_and_loop_blocks(capsys):
         assert code == 0
         (rec,) = structured_lines(out)
         assert rec["status"] == "proved"
-        assert (rec["nodes"], rec["loop_blocks"]) == (132, 81)
+        assert _counts(rec) == (61, 10, 0, 0)
         code, out = run(capsys, "decide", "--logic", "WM", "--format",
                         "structured", "~~p1")
         assert code == 1
         (rec,) = structured_lines(out)
         assert rec["status"] == "non-theorem"
-        assert (rec["nodes"], rec["loop_blocks"]) == (3, 1)
+        assert _counts(rec) == (3, 1, 0, 0)
+        code, out = run(capsys, "decide", "--logic", "WK", "--format",
+                        "structured", "p1 -> (p1 -> p2) -> p2")
+        assert code == 0
+        (rec,) = structured_lines(out)
+        assert rec["status"] == "theorem"
+        assert _counts(rec) == (5, 0, 0, 1)
+        # M's failure refutes the WM goal through its classical twin.
+        for logic, nodes, twins in (("M", 1, 0), ("WM", 0, 1)):
+            code, out = run(capsys, "prove", "--logic", logic, "--format",
+                            "structured", "[]p1 |- p1")
+            assert code == 1
+            (rec,) = structured_lines(out)
+            assert rec["status"] == "not-derivable"
+            assert _counts(rec) == (nodes, 0, twins, 0)
     finally:
         prover.clear_caches()
 

@@ -14,6 +14,8 @@ from wmodal.prover import Budget, BudgetExceeded, Derivation, check, decide, \
 from wmodal.sequents import CONSTRUCTIVE, Sequent, parse_sequent
 from wmodal.syntax import atom, bot, box, conj, dia, disj, imp, neg, parse
 
+from test_sequents import _formulas_with_sharing
+
 p, q, r = atom(1), atom(2), atom(3)
 
 
@@ -257,11 +259,12 @@ def test_budget_node_limit_raises():
 
 
 def test_budget_overrun_leaves_no_sequent_on_branch():
-    # A loop-heavy WKT non-theorem: a mark left on the overrun branch
-    # would block instances in every later search of this epoch.
+    # A loop-heavy WKT non-theorem (4,208 nodes and 2,966 loop blocks): a
+    # mark left on the overrun branch would block instances in every
+    # later search of this epoch.
     wkt = get_logic("WKT")
-    text = ("[](p2 -> p3), [](p3 -> p1), [](bot | p3), [](p2 | p2), "
-            "[](bot -> bot), <>p2 |- <><>bot")
+    text = ("[](p2 -> p1), [](<><>p1), [](p3 -> p1), []([]~p3), "
+            "[](<>[]p1), [](~p3), <>p1 |- <><>[]p2")
     prover.clear_caches()
     try:
         with pytest.raises(BudgetExceeded):
@@ -308,15 +311,25 @@ def test_rule_without_context_starts_a_new_segment():
         prover.clear_caches()
 
 
-def test_constructive_t_rules_keep_no_history():
-    # A loop-heavy WKT non-theorem, whose loops come from constructive
-    # Limp: it expands the nodes and blocks it did before the history.
+def test_itbox_applies_once_per_principal_on_a_segment():
+    # iTbox, Land, iTbox, Land used to reach an ancestor: a loop block,
+    # and no failure stored.  iTbox now skips its principal on the segment.
+    try:
+        seq, res = _prove_cold("WMT", "[](p1 & p1) |- p2")
+        assert not res.proved
+        assert (res.stats.nodes, res.stats.loop_blocks) == (3, 0)
+        assert seq in prover.engine_for(get_logic("WMT")).failed
+    finally:
+        prover.clear_caches()
+    # A WKT non-theorem whose loops came from constructive Limp and from
+    # iTbox firing again on its principals: 7,126 nodes and 5,212 loop
+    # blocks without modus ponens and with iTbox outside the history.
     text = ("[](p2 -> p3), [](p3 -> p1), [](bot | p3), [](p2 | p2), "
             "[](bot -> bot), <>p2 |- <><>bot")
     try:
         _, res = _prove_cold("WKT", text)
         assert not res.proved
-        assert (res.stats.nodes, res.stats.loop_blocks) == (7126, 5212)
+        assert (res.stats.nodes, res.stats.loop_blocks) == (64, 12)
     finally:
         prover.clear_caches()
 
@@ -560,6 +573,99 @@ def test_constructive_search_interns_no_classical_sequent():
         assert twins > 0
         assert all(s in before for s in sequents._intern.values()
                    if s.mode != CONSTRUCTIVE)
+    finally:
+        prover.clear_caches()
+
+
+# ---------------------------------------------------------------------------
+# identity and modus ponens
+
+def test_modus_ponens_on_a_large_self_sharing_consequent():
+    # Backtracking over Limp took more than 1,000,000 nodes in WK here.
+    a = parse("((p1 -> p3) -> p3) -> bot & p1")
+    b = _formulas_with_sharing(random.Random(5), 30)[18]
+    assert b.size == 83
+    for name in ("WK", "WKT"):
+        logic = get_logic(name)
+        prover.clear_caches()
+        try:
+            res = prove_from(logic, (a, imp(a, b)), b, Budget(2000))
+            assert res.proved and check(logic, res.derivation)
+            assert res.stats.mp_commits >= 1
+        finally:
+            prover.clear_caches()
+
+
+def test_modus_ponens_decides_a_k_box_instance_with_compound_parts():
+    # iKbox leaves A -> B, A |- B; it took 4,249 nodes before the commit.
+    wkt = get_logic("WKT")
+    f = instantiate_axiom("K_box", parse("<>bot -> p1 & p1"),
+                          parse("[][][](<>p1 | p2)"))
+    prover.clear_caches()
+    try:
+        res = prove(wkt, prover.goal(wkt, f), Budget(2000))
+        assert res.proved and check(wkt, res.derivation)
+        assert res.stats.mp_commits >= 1
+    finally:
+        prover.clear_caches()
+
+
+def test_failure_under_modus_ponens_is_stored_with_limp_committed():
+    wk = get_logic("WK")
+    try:
+        seq, res = _prove_cold("WK", "p1, p1 -> p2 |- p3")
+        assert not res.proved
+        assert (res.stats.nodes, res.stats.mp_commits) == (3, 1)
+        assert seq in prover.engine_for(wk).failed
+        (e,) = seq.found
+        assert e[2] & calculus.BITS["Limp"]
+    finally:
+        prover.clear_caches()
+
+
+@pytest.mark.parametrize("name", sorted(LOGICS))
+def test_identity_is_built_for_every_small_formula(name):
+    # Each D |- D is closed at its root by the identity step, or by init
+    # or Lbot, and the built derivation passes check.
+    logic = LOGICS[name]
+    prover.clear_caches()
+    try:
+        for f in sampling.formulas_up_to_size(4, 2):
+            seq = Sequent((f,), (f,), logic.mode)
+            res = prove(logic, seq, Budget(max_nodes=1))
+            assert res.proved and res.derivation.conclusion == seq
+            assert check(logic, res.derivation), f
+    finally:
+        prover.clear_caches()
+
+
+@pytest.mark.parametrize("name, text", [
+    ("MC", "p2, <>p1, (p1 -> []p2) & <>(p1 | p2) |- "
+           "[]p1, (p1 -> []p2) & <>(p1 | p2)"),
+    ("WKT", "p2, <>p1 | p1, (p1 -> []p2) & <>(p1 | p2) |- "
+            "(p1 -> []p2) & <>(p1 | p2)"),
+])
+def test_weakened_identity_passes_check(name, text):
+    # The identity of the conjunction D, rebuilt with the context: the
+    # same rules on the same principals, at conclusions that hold those
+    # of D |- D, and the premises of its modal nodes as they were.
+    logic = get_logic(name)
+    try:
+        seq, res = _prove_cold(name, text)
+        assert res.proved and res.stats.nodes == 1
+        d = res.derivation
+        assert d.conclusion is seq and d.rule == "Land"
+        assert check(logic, d)
+        D = d.principal[0]
+        ident = prove(logic, Sequent((D,), (D,), logic.mode)).derivation
+        pairs = list(zip(d.steps(), ident.steps()))
+        assert len(pairs) == len(list(d.steps())) == len(list(ident.steps()))
+        for w, o in pairs:
+            assert (w.rule, w.principal) == (o.rule, o.principal)
+            assert set(o.conclusion.ant) <= set(w.conclusion.ant)
+            assert set(o.conclusion.suc) <= set(w.conclusion.suc)
+            if not calculus.RULES[w.rule].contextual:
+                assert w.children == o.children
     finally:
         prover.clear_caches()
 

@@ -63,7 +63,8 @@ def test_termination_sweep_counts_twin_refutations():
     proc = run_script("termination_sweep.py", "--max-size", "4",
                       "--logics", "K,WK")
     rows = re.findall(r"^(\w+) +\d+ theorems +(\d+) from store +(\d+) nodes "
-                      r"+(\d+) loop blocks +(\d+) twin refutations ",
+                      r"+(\d+) loop blocks +(\d+) twin refutations "
+                      r"+(\d+) mp commits ",
                       proc.stdout.decode(), re.M)
     expected = []
     prover.clear_caches()
@@ -78,12 +79,30 @@ def test_termination_sweep_counts_twin_refutations():
                                      for s in stats)),
                              str(sum(s.nodes for s in stats)),
                              str(sum(s.loop_blocks for s in stats)),
-                             str(sum(s.twin_refutations for s in stats))))
+                             str(sum(s.twin_refutations for s in stats)),
+                             str(sum(s.mp_commits for s in stats))))
     finally:
         prover.clear_caches()
     assert rows == expected, proc.stdout.decode()
     # K searches first, so its failures refute WK's goals through the twin.
     assert int(rows[0][4]) == 0 and int(rows[1][4]) > 0
+
+
+def test_termination_sweep_counts_mp_commits():
+    # A -> B and A meet in an antecedent from size 7 on, as in
+    # p1 -> (p1 -> bot) -> bot.
+    proc = run_script("termination_sweep.py", "--max-size", "7",
+                      "--num-atoms", "1", "--logics", "WK")
+    rows = re.findall(r"^WK .* (\d+) mp commits ", proc.stdout.decode(), re.M)
+    wk = LOGICS["WK"]
+    prover.clear_caches()
+    try:
+        mps = sum(prover.prove(wk, prover.goal(wk, f)).stats.mp_commits
+                  for f in sampling.formulas_up_to_size(7, 1))
+    finally:
+        prover.clear_caches()
+    assert rows == [str(mps)], proc.stdout.decode()
+    assert mps > 0
 
 
 def test_countermodel_sweep_prints_a_row_per_logic():
