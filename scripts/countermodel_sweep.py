@@ -5,7 +5,8 @@ Decides every formula up to a given AST size (over a small atom
 alphabet) in every logic and searches each for a countermodel of at most
 --max-worlds worlds.  Per logic it reports the theorems, the
 non-theorems refuted at each number of worlds (by the smallest
-countermodel), the disagreements and the time.  A disagreement is a
+countermodel), the disagreements, the time and, of that time, the time
+spent in countermodel search.  A disagreement is a
 theorem with a countermodel, a non-theorem with none of at most
 --max-worlds worlds, or a countermodel that does not verify (a preorder
 with a hereditary valuation, discrete in a classical model; conditions
@@ -67,12 +68,14 @@ def main() -> int:
         logic = LOGICS[name]
         theorems, disagreements = 0, 0
         refuted = dict.fromkeys(worlds, 0)
-        t0 = time.monotonic()
+        t0, search = time.monotonic(), 0.0
         for f in space:
             try:
                 theorem = prover.decide(logic, f)
+                t1 = time.monotonic()
                 hit = semantics.enumerate_countermodel(logic, f,
                                                        args.max_worlds)
+                search += time.monotonic() - t1
             except prover.BudgetExceeded as e:
                 failures += 1
                 print("  BUDGET EXCEEDED %s %s: %s"
@@ -97,12 +100,13 @@ def main() -> int:
                 print("  DISAGREEMENT %s %s: %s"
                       % (name, syntax.render(f), wrong))
         failures += disagreements
-        print("%-4s %6d theorems  %s  %d disagreements  %6.2fs"
+        print("%-4s %6d theorems  %s  %d disagreements  %6.2fs  "
+              "%6.2fs countermodel search"
               % (name, theorems,
                  "  ".join("%6d at %d world%s" % (refuted[n], n,
                                                   "s" if n > 1 else "")
                            for n in worlds),
-                 disagreements, time.monotonic() - t0))
+                 disagreements, time.monotonic() - t0, search))
     print("total %.1fs, %d disagreements or overruns"
           % (time.monotonic() - grand_start, failures))
     return 1 if failures else 0

@@ -22,14 +22,15 @@ The enumeration evaluates many neighbourhood choices at once.  Under a
 fixed preorder and valuation, one int holds a set of worlds for every
 choice, choice c's (its lane) at bits c*n ... c*n+n-1.  Conjunction,
 disjunction and bot are then plain bit operations, `_lane_up` is up in
-every lane by shifts and masks, and `_lane_local` reads box and diamond
-locally in every lane from, for each neighbourhood a, the lane mask of
-the worlds whose family holds a.  A formula compiles into one program
-that `_run` runs over one lane for `extension` and over many for the
-enumeration.  There the lanes hold blocks of neighbourhood choices, one
-block per valuation of the formula's last atoms when a frame is small
-enough, and the set-up of each frame class (orders, up-sets, `up` and
-`local` over the lanes, the atoms' lane masks) is made once and kept.
+every lane by shifts and masks (the builtin `(0).__or__` on an order
+without proper successors, classical or of 1 world, where up is the
+identity), and `_lane_local` reads box and diamond locally in every lane
+from, for each neighbourhood a, the lane mask of the worlds whose family
+holds a.  A formula compiles into one program that `_run` runs over one
+lane for `extension` and over many for the enumeration, where on small
+frames the lanes also hold a block per valuation of the last atoms.
+Each frame class is set up once and kept (a _Plan), so a search
+costs little beside its runs of `_run`, usually one per order.
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ def _lane_up(succ, one: int):
     for w, s in enumerate(succ):
         for v in _bits(s & ~(1 << w)):
             kept[v - w] = kept.get(v - w, 0) | 1 << w
+    if not kept:  # up is the identity
+        return (0).__or__
     steps = [(d, (full ^ ws) * one) for d, ws in kept.items()]
 
     def up(m):
@@ -208,16 +211,16 @@ def _run(program, ext: list, full: int, up, local) -> list:
 
 def extension(model, f: Formula) -> int:
     """Mask of worlds forcing f: _run over a single lane."""
-    atoms, program, _ = _program(f)
+    atoms, program, modal = _program(f)
     val = dict(model.val)
     ext = [val.get(a, 0) for a in atoms] + [0] * len(program)
     mem: Dict[int, int] = {}
-    for w, fam in enumerate(model.neigh):
+    for w, fam in enumerate(model.neigh if modal else ()):
         for a in fam:
             mem[a] = mem.get(a, 0) | 1 << w
     tests = [(a, a, _bits(a), m) for a, m in mem.items()]
-    return _run(program, ext, model.full, _lane_up(model.succ, 1),
-                _lane_local(model.full, 1, tests))[-1]
+    local = _lane_local(model.full, 1, tests) if modal else None
+    return _run(program, ext, model.full, _lane_up(model.succ, 1), local)[-1]
 
 
 def forces(model, world: int, f: Formula) -> bool:
@@ -406,9 +409,8 @@ class _Slices:
         return table
 
 
-# Kept below MAX_WORLDS worlds only: at 4 worlds a slicing holds about
-# 4 MB and takes 0.1 s to build, little beside the 28,224 runs of _run
-# that each valuation takes there; at 3 worlds at most 0.01 s.
+# Kept below MAX_WORLDS worlds only: a 4-world slicing holds about 4 MB and
+# takes 0.1 s to build, little beside a valuation's 28,224 runs of _run.
 _kept_slices = cache(_Slices)
 
 
@@ -480,8 +482,7 @@ class _Plan:
 
 
 # Kept below MAX_WORLDS worlds only, with every order set up.  At 4 worlds
-# the orders are set up one at a time as the search reaches them (WM's 355
-# take 0.05 s beside the slicing's 0.1 s), and nothing is kept.
+# the search sets each order up as it reaches it (WM's 355 take 0.05 s).
 @cache
 def _kept_plan(mode, conds, n: int, modal: bool, k: int) -> _Plan:
     plan = _Plan(mode, conds, n, modal, k)
@@ -501,8 +502,7 @@ def enumerate_countermodel(logic: Logic, f: Formula, max_worlds: int = 3,
     choices (see _Slices), and on small frames every valuation of the
     last atoms as well, in blocks of lanes (see _Plan); the lowest bit of
     the worlds it refutes is the first refuting valuation and choice of
-    the run and their least world.  The set-up of each frame class is
-    kept below MAX_WORLDS.
+    the run and their least world.
 
     Raises BudgetExceeded, counting each model tried as a node, when
     budget's time runs out or when the search would have to go past
@@ -525,23 +525,23 @@ def enumerate_countermodel(logic: Logic, f: Formula, max_worlds: int = 3,
         sl = plan.slices
         for succ, upsets, lanes, one, up, local, spread in plan.orders:
             every = sl.full * one
-            for vals in itertools.product(*[upsets] * (k - len(spread))):
-                ext = [v * one for v in vals] + spread + rest
+            exts = ([v * one for v in vals] + spread + rest for vals in
+                    itertools.product(upsets, repeat=k - len(spread))
+                    ) if len(spread) < k else (spread + rest,)
+            for ext in exts:
                 for prefix in sl.prefixes:
                     if time.monotonic() > deadline:
                         raise BudgetExceeded("timeout", tried,
                                              time.monotonic() - start)
                     m = _run(program, ext, every, up,
                              local or sl.local(prefix))[-1]
-                    if m != every:
-                        bad = every & ~m
-                        lane, world = divmod((bad & -bad).bit_length() - 1, n)
-                        # the lane's valuation, read off the atoms' slots
+                    if m != every:  # every: bits 0 to lanes*n-1
+                        lane, world = divmod((m ^ (m + 1)).bit_length() - 1, n)
                         shift = lane * n
-                        val = [e >> shift & sl.full for e in ext[:k]]
-                        choice = sl.choices[lane % len(sl.choices)]
-                        return Model(logic.mode, n, succ, prefix + choice,
-                                     tuple(zip(atoms, val))), world
+                        val = tuple([(a, ext[i] >> shift & sl.full)
+                                     for i, a in enumerate(atoms)])
+                        return Model(logic.mode, n, succ, prefix + sl.choices[
+                            lane % len(sl.choices)], val), world
                     tried += lanes
     return None
 

@@ -110,13 +110,15 @@ def test_countermodel_sweep_prints_a_row_per_logic():
                       "--logics", "K,WK", "--max-worlds", "2")
     assert proc.returncode == 0, proc.stdout.decode()
     rows = re.findall(r"^(\w+) +(\d+) theorems +(\d+) at 1 world +(\d+) at 2 "
-                      r"worlds +(\d+) disagreements ", proc.stdout.decode(),
-                      re.M)
+                      r"worlds +(\d+) disagreements +([\d.]+)s +([\d.]+)s "
+                      r"countermodel search$", proc.stdout.decode(), re.M)
     assert [r[0] for r in rows] == ["K", "WK"], proc.stdout.decode()
-    for _, theorems, one, two, wrong in rows:
+    for _, theorems, one, two, wrong, total, search in rows:
         # the 48 formulas of size <= 3 over two atoms
         assert int(theorems) + int(one) + int(two) == 48
         assert int(wrong) == 0
+        # the search time is a part of the logic's time
+        assert float(search) <= float(total)
 
 
 @pytest.mark.parametrize("option, value", [

@@ -1,9 +1,11 @@
 """Neighbourhood models: forcing, conditions, generation, countermodels."""
 
+import collections
 import functools
 import hashlib
 import itertools
 import random
+import types
 
 import pytest
 
@@ -119,6 +121,25 @@ def test_extension_matches_reference():
             for m in (model, wide):
                 assert extension(m, f) == reference_extension(m, f), \
                     (model_to_json(m), syntax.render(f))
+
+
+def test_extension_without_modal_part_builds_no_local_table(monkeypatch):
+    # Only box and diamond read the neighbourhoods.
+    def no_table(*args):
+        raise AssertionError("local table built")
+    monkeypatch.setattr(semantics, "_lane_local", no_table)
+    rng = random.Random(37)
+    names = sorted(LOGICS)
+    plain = [f for f in sampling.formulas_up_to_size(5, 3)
+             if not semantics._program(f)[2]]
+    proper = 0
+    for _ in range(200):
+        model = random_model(LOGICS[rng.choice(names)], 3, rng.getrandbits(32))
+        proper += model.succ != semantics._discrete(model.n)
+        for f in rng.sample(plain, 10):
+            assert extension(model, f) == reference_extension(model, f), \
+                (model_to_json(model), syntax.render(f))
+    assert proper >= 30
 
 
 def test_classical_model_is_discrete_constructive_model():
@@ -352,6 +373,42 @@ NEEDS_3_WORLDS = parse("~(~p8 & ~p9 & [](~p8 | ~p9) & ~[]~p8 & ~[]~p9)")
 
 def witness_doc(hit):
     return "none" if hit is None else "%s@%d" % (model_to_json(hit[0]), hit[1])
+
+
+def test_countermodel_witnesses_unchanged_at_3_worlds():
+    # As test_countermodel_witnesses_unchanged, for the size <= 5 one-atom
+    # space at 3 worlds: 13,112 witnesses of 1 world, 400 of 2 and 2 of 3,
+    # and 2,670 exhaustive searches.
+    h = hashlib.sha256()
+    sizes = collections.Counter()
+    for name in sorted(LOGICS):
+        for f in sampling.formulas_up_to_size(5, 1):
+            hit = enumerate_countermodel(LOGICS[name], f, 3)
+            sizes[0 if hit is None else hit[0].n] += 1
+            h.update(("%s\t%s\t%s\n" % (name, syntax.render(f),
+                                        witness_doc(hit))).encode())
+    assert sizes == {1: 13_112, 2: 400, 3: 2, 0: 2_670}
+    assert h.hexdigest() == \
+        "e3e008e9bf707fb9a67eeb0dfb0bf27637318b398585af0f28803182152fb196"
+
+
+def test_discrete_order_up_is_the_identity():
+    # Where no world has a proper successor, up over the lanes is a
+    # builtin, so _run makes no Python call for it.
+    for n in range(1, semantics.MAX_WORLDS + 1):
+        discrete = semantics._discrete(n)
+        for lanes in (1, 3):
+            up = semantics._lane_up(discrete, semantics._repeat(n, lanes))
+            assert not isinstance(up, types.FunctionType)
+            assert all(up(m) == m for m in range(1 << n * lanes))
+        assert semantics._upsets(discrete) == tuple(range(1 << n))
+    # The chain w0 <= w1 keeps the shifting up: w0 needs w1 in each lane.
+    chain = (0b11, 0b10)
+    up = semantics._lane_up(chain, semantics._repeat(2, 2))
+    assert isinstance(up, types.FunctionType)
+    assert [up(m) for m in range(4)] == [up_of(chain, m) for m in range(4)] \
+        == [0, 0, 2, 3]
+    assert up(0b1101) == 0b1100     # lane 0 {w0}, lane 1 {w0, w1}
 
 
 def test_countermodel_matches_per_choice_reference():
