@@ -14,19 +14,23 @@ rules tried at a node are looked up by the formula kinds of its sides
 Two steps commit at once, and certify with the paper's rules alone:
 
 - identity: a node, in either mode, whose succedent formula D is
-  compound and also in its antecedent is closed by a derivation of
-  D |- D, weakened to the node (`_weakened`: each contextual node rebuilt
-  at the larger conclusion by the instance with the same principal; a
-  node without context keeps its premises, since those rules take any
-  context).  D |- D is built, not searched, bottom-up over D's
-  subformulas: p |- p by init, bot |- bot by Lbot, a propositional D by
-  its rule on each side, whose premises the weakened identities of D's
-  components close, and []A |- []A or <>A |- <>A by the logic's first
-  rule whose instance has the one premise A |- A.  Every logic of the
-  catalogue has one for each modality: Mbox and Mdia, Cbox and Cdia, or
-  Kbox and Kdia, and their constructive rules.  So the step closes only
-  derivable nodes, with a derivation, and changes no verdict.  An
-  identity is kept on D |- D, like any derivation, until `clear_caches`;
+  compound and also in its antecedent is closed by a derivation built in
+  place, not searched: one loop over pairs of a sequent and a formula g
+  it holds on both sides, from the node and D, closes an atom by init,
+  bot by Lbot, a propositional g by its rule on each side, the first on
+  g at the sequent and the second on g in each premise, whose premises
+  each hold a component of g on both sides, and []A or <>A by the
+  logic's first rule without context whose instance at g |- g has the
+  one premise A |- A.  Every logic of the catalogue has one for each
+  modality: Mbox and Mdia, Cbox and Cdia, or Kbox and Kdia, and their
+  constructive rules.  That derivation of g |- g is kept on that
+  sequent, and any other sequent of a pair with g reuses its rule,
+  principals and premise, since the rule takes any context.  So the
+  node's derivation is D |- D's weakened to the node: the same rule on
+  the same principal at each step, with the node's context kept in
+  every premise of a contextual rule.  The step closes only derivable
+  nodes, with a derivation, and changes no verdict.  The derivation is
+  kept on the node, like any other, until `clear_caches`;
 - modus ponens: a constructive node S = G |- D whose antecedent holds
   A -> B and A commits to constructive Limp on A -> B, once Lbot, init,
   Land and Lor do not apply, and before the succedent's rules would
@@ -310,46 +314,22 @@ _lock = _thread.allocate_lock()     # one search at a time
 
 _EVERY_RULE = calculus.mask(RULES)
 
-# The kinds of the succedent formulas that the identity step closes;
-# init and Lbot close the others.
-_COMPOUND = frozenset((AND, OR, IMP, BOX, DIA))
 # The rule that closes a sequent holding an atom, or bot, on both sides.
 _AXIOM = {ATOM: "init", BOT: "Lbot"}
 # D |- D for a propositional D: the first rule on D, then the second on D
-# in each premise, whose premises the identities of D's components close.
+# in each premise, whose premises each hold a component of D on both sides.
 _ID_RULES = {AND: ("Land", "Rand"), OR: ("Lor", "Ror"), IMP: ("Rimp", "Limp")}
 
 
-def _premises(rule: calculus.Rule, seq: Sequent,
-              principal: tuple) -> Tuple[Sequent, ...]:
-    """The premises of rule's instance at seq with the given principal."""
-    for prems, p in rule.build(Shape(seq.mode, seq.ant, seq.suc)):
-        if p == principal:
-            return tuple(Sequent(a, s, seq.mode) for a, s in prems)
-    raise ValueError("%s has no instance on %r" % (rule.name, principal))
-
-
-def _weakened(d: Derivation, seq: Sequent) -> Derivation:
-    """d, a derivation of a sequent whose sides seq's include, rebuilt as
-    a derivation of seq.  A contextual node is rebuilt at the larger
-    conclusion by the instance with the same principal, and its premises
-    so in turn; a node without context keeps its premises, since those
-    rules take any context."""
-    memo: Dict[tuple, Derivation] = {}
-
-    def weaken(d, seq):
-        if d.conclusion is seq:
-            return d
-        w = memo.get((d, seq))
-        if w is None:
-            rule = RULES[d.rule]
-            kids = d.children
-            if rule.contextual and kids:
-                kids = tuple(map(weaken, kids,
-                                 _premises(rule, seq, d.principal)))
-            w = memo[d, seq] = Derivation(d.rule, seq, d.principal, kids)
-        return w
-    return weaken(d, seq)
+def _instance(name: str, seq: Sequent, g: Formula,
+              keep: Optional[Formula] = None):
+    """The premises and the principal of the named rule's instance at seq
+    on g; of constructive Ror's, which name the disjunct they keep, the
+    one that keeps keep."""
+    for prems, p in RULES[name].build(Shape(seq.mode, seq.ant, seq.suc)):
+        if p[0] is g and p[1:] in ((), (keep,)):
+            return [Sequent(a, s, seq.mode) for a, s in prems], p
+    raise ValueError("%s has no instance on %r" % (name, g))
 
 
 def _correspondence() -> Dict[int, int]:
@@ -424,9 +404,17 @@ class Engine:
         # T rules, which keep their principal, and iTbox.
         self._t_rules = calculus.mask(("Tbox", "Tdia", "iTbox")) & self.mask
         # The rule without context that strips the modality of a modal
-        # identity, by kind, with the length of its principal; found as
-        # identities are built.
-        self._strips: Dict[str, Tuple[str, int]] = {}
+        # identity, with the length of its principal, by kind: the first
+        # whose instance at m |- m, m = []A or <>A, has the one premise
+        # A |- A.  Which rule that is does not depend on A, here bot, and
+        # the instance's principals are all m.  Read off the rule table,
+        # it interns no sequent.
+        self._strips: Dict[str, Tuple[str, int]] = {m.kind: next(
+            (name, len(principal)) for name in logic.rules
+            if not RULES[name].contextual
+            for prems, principal in RULES[name].build(Shape(mode, (m,), (m,)))
+            if [tuple(map(tuple, p)) for p in prems] == [((m.left,),) * 2])
+            for m in (syntax.box(syntax.bot), syntax.dia(syntax.bot))}
         # `_steps` by the rules of this logic that fit a conclusion, filled
         # as search meets them; it holds no search result.
         self._table: Dict[int, tuple] = {}
@@ -529,10 +517,8 @@ class Engine:
             # Identity: a compound succedent formula in the antecedent.
             if seq.ant:
                 for f in seq.suc:
-                    if f.kind in _COMPOUND and f in c.ant_set:
-                        d = self._closed(seq, f)
-                        if d is not None:
-                            return d, None
+                    if f.kind not in _AXIOM and f in c.ant_set:
+                        return self._closed(seq, f), None
             fits = calculus.fitting(c)
             # The union of the failed premises' F and C, for a pure failure.
             f_all, c_all = fits, 0
@@ -589,85 +575,56 @@ class Engine:
                 self._mps += 1
                 yield prems, principal
 
-    def _closed(self, seq: Sequent, f: Formula) -> Optional[Derivation]:
-        """The identity of f, compound, weakened to seq, which holds f on
-        both sides, and kept on seq; None when f has no identity."""
-        d = self._identity(f)
-        if d is not None and d.conclusion is not seq:
-            d = _weakened(d, seq)
+    def _closed(self, seq: Sequent, f: Formula) -> Derivation:
+        """A derivation of seq, which holds f, compound, on both sides,
+        kept on seq.  It is built in place in one loop over pairs of a
+        sequent and a formula g it holds on both sides, children before
+        parents, so a deep f takes no deep recursion (module docstring)."""
+        done: Dict[tuple, Derivation] = {}
+        todo = [(seq, f)]
+        while todo:
+            q, g = pair = todo[-1]
+            if pair in done:
+                todo.pop()
+                continue
+            if g.kind in _AXIOM:
+                d = Derivation(_AXIOM[g.kind], q, (g,))
+            elif g.kind in _ID_RULES:
+                first, second = _ID_RULES[g.kind]
+                parts = g.left, g.right
+                kids = []
+                for i, p in enumerate(_instance(first, q, g)[0]):
+                    prems, pr = _instance(second, p, g, parts[i])
+                    # One of i and j is 0: one rule has one premise.
+                    subs = [(r, parts[i + j]) for j, r in enumerate(prems)]
+                    todo += [s for s in subs if s not in done]
+                    kids.append((p, pr, subs))
+                if todo[-1] is not pair:
+                    continue
+                d = Derivation(first, q, (g,), tuple(
+                    Derivation(second, p, pr, tuple(map(done.get, subs)))
+                    for p, pr, subs in kids))
+            else:
+                ident = Sequent((g,), (g,), q.mode)
+                d = (self._stored(ident) or (None,))[0]
+                if d is None:
+                    a = Sequent((g.left,), (g.left,), q.mode), g.left
+                    if a not in done:
+                        todo.append(a)
+                        continue
+                    name, n = self._strips[g.kind]
+                    d = Derivation(name, ident, (g,) * n, (done[a],))
+                    _set(ident, "found", ident.found + (d,))
+                if q is not ident:
+                    # A rule without context takes any context.
+                    d = Derivation(d.rule, q, d.principal, d.children)
+            done[pair] = d
+            todo.pop()
+        d = done[seq, f]
+        # A modal identity at f |- f is kept there already.
+        if d not in seq.found:
             _set(seq, "found", seq.found + (d,))
         return d
-
-    def _identity(self, f: Formula) -> Optional[Derivation]:
-        """A derivation of f |- f, f compound, that serves this logic, kept
-        on that sequent.  One is built, if none is kept, bottom-up over the
-        compound subformulas of f in one loop, so a deep f takes no deep
-        recursion.  None when this logic strips no modality of one of
-        them."""
-        mode = self.logic.mode
-        ids: Dict[Formula, Optional[Derivation]] = {}
-        build = []
-        todo = [f]
-        while todo:
-            g = todo.pop()
-            if g not in ids:
-                seq = Sequent((g,), (g,), mode)
-                found = self._stored(seq)
-                if found is None:
-                    ids[g] = None
-                    build.append(seq)
-                    todo.extend(h for h in (g.left, g.right)
-                                if h is not None and h.kind in _COMPOUND)
-                else:
-                    ids[g] = found[0]
-        # Children before parents: `key` orders by complexity first.
-        for seq in sorted(build, key=lambda s: s.ant[0].key):
-            d = self._identity_node(seq, ids)
-            if d is None:
-                return None
-            _set(seq, "found", seq.found + (d,))
-            ids[seq.ant[0]] = d
-        return ids[f]
-
-    def _identity_node(self, seq: Sequent, ids) -> Optional[Derivation]:
-        """A derivation of seq, f |- f, from the identities ids of f's
-        compound immediate subformulas."""
-        f = seq.ant[0]
-
-        def close(q, g):
-            # q holds g, a component of f, on both sides.
-            if g.kind in _AXIOM:
-                return Derivation(_AXIOM[g.kind], q, (g,))
-            return _weakened(ids[g], q)
-        if f.kind in (BOX, DIA):
-            # The logic's first rule whose instance has the one premise
-            # A |- A.  Which rule that is does not depend on A, and the
-            # instance's principals are all f: it is found once.
-            a = Sequent((f.left,), (f.left,), seq.mode)
-            strip = self._strips.get(f.kind)
-            if strip is None:
-                c = Shape(seq.mode, seq.ant, seq.suc)
-                strip = next(((name, len(principal))
-                              for name in self.logic.rules
-                              if not RULES[name].contextual
-                              for prems, principal in calculus.instances(
-                                  RULES[name], c)
-                              if prems == (a,)), None)
-                if strip is None:
-                    return None
-                self._strips[f.kind] = strip
-            name, n = strip
-            return Derivation(name, seq, (f,) * n, (close(a, f.left),))
-        first, second = _ID_RULES[f.kind]
-        kids = []
-        for p in _premises(RULES[first], seq, (f,)):
-            # Constructive Ror names the disjunct it keeps.
-            principal = ((f, p.ant[0]) if second == "Ror"
-                         and seq.mode == CONSTRUCTIVE else (f,))
-            kids.append(Derivation(second, p, principal, tuple(
-                close(q, next(g for g in q.suc if g in q.ant))
-                for q in _premises(RULES[second], p, principal))))
-        return Derivation(first, seq, (f,), tuple(kids))
 
     def _fail(self, seq: Sequent, fitted: int, committed: int) -> Failure:
         share = _shared.setdefault
@@ -743,8 +700,9 @@ def clear_caches():
 
 def cache_sizes() -> Dict[str, int]:
     """The entries each cache holds: interned formulas, which live for
-    the process, sequents interned since the last `clear_caches()`, and
-    the derivations and failures found for them, by mode."""
+    the process, sequents interned since the last `clear_caches()`, the
+    derivations and failures found for them, by mode, and the engines,
+    one per logic searched, which live for the process too."""
     sizes = {"formulas": len(syntax._intern),
              "sequents": len(sequents._intern)}
     for mode in (CLASSICAL, CONSTRUCTIVE):
@@ -753,4 +711,5 @@ def cache_sizes() -> Dict[str, int]:
         for x in seq.found:
             kind = ".proved" if x.__class__ is Derivation else ".failed"
             sizes[seq.mode + kind] += 1
+    sizes["engines"] = len(_engines)
     return sizes

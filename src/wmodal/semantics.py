@@ -168,9 +168,10 @@ def _lane_local(full: int, one: int, tests) -> dict:
     return {BOX: box, DIA: dia}
 
 
-# Holds, for instance, all 1,416 formulas of size <= 5 over two atoms; a
-# thousand programs of that size take about 0.5 MB.
-@lru_cache(maxsize=4096)
+# Holds, for instance, all 8,532 formulas of size <= 6 over two atoms, so
+# a pass over that space one logic at a time compiles each formula once;
+# those programs and the cache's entries take about 5 MB (tracemalloc).
+@lru_cache(maxsize=16384)
 def _program(f: Formula):
     """Compile f into instructions over a list of extensions, one slot
     per subformula in `Formula.key` order: atoms first, by index, children

@@ -455,11 +455,13 @@ def test_clear_caches_empties_sequents_and_stores_but_keeps_formulas():
     sizes = prover.cache_sizes()
     assert set(sizes) == {"formulas", "sequents", "classical.proved",
                           "classical.failed", "constructive.proved",
-                          "constructive.failed"}
+                          "constructive.failed", "engines"}
     assert min(sizes.values()) > 0, sizes
+    assert sizes["engines"] == len(prover._engines) >= 2
     prover.clear_caches()
     after = prover.cache_sizes()
-    assert after == dict.fromkeys(sizes, 0) | {"formulas": sizes["formulas"]}
+    assert after == dict.fromkeys(sizes, 0) | {"formulas": sizes["formulas"],
+                                               "engines": sizes["engines"]}
 
 
 def test_goal_kept_across_clear_caches_is_searched_again():
@@ -635,6 +637,28 @@ def test_identity_is_built_for_every_small_formula(name):
             res = prove(logic, seq, Budget(max_nodes=1))
             assert res.proved and res.derivation.conclusion == seq
             assert check(logic, res.derivation), f
+    finally:
+        prover.clear_caches()
+
+
+@pytest.mark.parametrize("name", ["K", "WK"])
+def test_identity_of_a_left_nested_implication_is_built_once(name):
+    # D = ((p1 -> p1) -> p1) -> ... -> p1 with n arrows.  Copying the
+    # identity one level down into each level's context interned 15,148
+    # sequents in WK at n = 100, for a proof of 3n + 1 distinct nodes.
+    n = 100
+    d = imp(p, p)
+    for _ in range(n - 1):
+        d = imp(d, p)
+    logic = get_logic(name)
+    prover.clear_caches()
+    try:
+        res = prove(logic, Sequent((d,), (d,), logic.mode),
+                    Budget(max_nodes=1))
+        # Before check, which interns the premises it rebuilds.
+        assert prover.cache_sizes()["sequents"] <= 3 * n + 1
+        assert res.proved and check(logic, res.derivation)
+        assert len(list(res.derivation.steps())) <= 3 * n + 1
     finally:
         prover.clear_caches()
 

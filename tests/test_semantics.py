@@ -142,6 +142,17 @@ def test_extension_without_modal_part_builds_no_local_table(monkeypatch):
     assert proper >= 30
 
 
+def test_program_cache_holds_the_size6_space():
+    # A pass over the space one logic at a time, as the countermodel
+    # sweep makes, finds every formula compiled by the pass before.
+    space = sampling.formulas_up_to_size(6, 2)
+    semantics._program.cache_clear()
+    for f in space:
+        semantics._program(f)
+    semantics._program(space[0])
+    assert semantics._program.cache_info().hits == 1
+
+
 def test_classical_model_is_discrete_constructive_model():
     rng = random.Random(31)
     for _ in range(200):
