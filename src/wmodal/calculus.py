@@ -57,9 +57,9 @@ from __future__ import annotations
 
 from operator import attrgetter
 from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable,
-                    Iterator, List, NamedTuple, Optional, Tuple)
+                    Iterator, List, NamedTuple, Tuple)
 
-from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent
+from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent, norm_side
 from .syntax import AND, ATOM, BOT, BOX, DIA, IMP, OR, Formula, bot
 
 if TYPE_CHECKING:
@@ -408,12 +408,12 @@ def fitting(c: Shape) -> int:
     return a & s
 
 
-def instances(rule: Rule, c: Shape, seq: Optional[Sequent] = None):
+def instances(rule: Rule, c: Shape, seq: Sequent):
     """The (premises, principal) instances of rule at c that have a
-    principal formula, with the premises as `Sequent`s.  Given the
-    sequent seq of this epoch that c classifies, backward search skips
-    the instance with seq as its only premise (a T rule whose copy is
-    already there), which makes no progress; `check_step` accepts it.
+    principal formula, with the premises as `Sequent`s.  seq is the
+    sequent of this epoch that c classifies: backward search skips the
+    instance with seq as its only premise (a T rule whose copy is already
+    there), which makes no progress; `check_step` accepts it.
     """
     for prems, principal in rule.build(c):
         if principal:
@@ -440,21 +440,26 @@ def backward_applications(logic: Logic, seq: Sequent) -> List[RuleInstance]:
 def check_step(logic: Logic, inst: RuleInstance) -> bool:
     """Whether inst is an instance of its rule's schema in logic: the
     premises rebuilt from its conclusion equal its premises as a multiset
-    of sequents, which includes their mode."""
+    of sequents, all in the conclusion's mode.  The rebuilt premises are
+    compared as normalized sides, so checking interns no sequent."""
     concl = inst.conclusion
-    if inst.rule not in logic.rules or concl.mode != logic.mode:
+    if (inst.rule not in logic.rules or concl.mode != logic.mode
+            or any(p.mode != concl.mode for p in inst.premises)):
         return False
     rule = RULES[inst.rule]
-    given = inst.premises
+    given = [(p.ant, p.suc) for p in inst.premises]
     if rule.contextual:
         c = Shape(concl.mode, concl.ant, concl.suc)
     else:
         c = Shape(concl.mode,
-                  _candidates(concl.ant, {f for p in given for f in p.ant}),
-                  _candidates(concl.suc, {f for p in given for f in p.suc}))
-    return any(len(prems) == len(given)
-               and all(prems.count(p) == given.count(p) for p in prems)
-               for prems, _ in instances(rule, c))
+                  _candidates(concl.ant, {f for ant, _ in given for f in ant}),
+                  _candidates(concl.suc, {f for _, suc in given for f in suc}))
+    for prems, principal in rule.build(c):
+        if principal and len(prems) == len(given):
+            prems = [(norm_side(ant), norm_side(suc)) for ant, suc in prems]
+            if all(prems.count(p) == given.count(p) for p in prems):
+                return True
+    return False
 
 
 def _candidates(side, subs):

@@ -293,10 +293,12 @@ class ProofResult(NamedTuple):
     stats: SearchStats
 
 
-# The stats of a goal that its results answer without search, and the
-# result when it answers with a failure.
+# The stats of a goal that its results answer without search, the result
+# when they answer with a failure, and when a failure kept on the goal's
+# classical twin refutes it.
 _UNSEARCHED = SearchStats()
 _REFUTED = ProofResult(False, None, _UNSEARCHED)
+_TWIN_REFUTED = ProofResult(False, None, SearchStats(twin_refutations=1))
 
 
 # A pure failure, as `Sequent.found` keeps it: (F, X, C), where F holds
@@ -433,6 +435,9 @@ class Engine:
             d = found[0]
             return _REFUTED if d is None else ProofResult(True, d, _UNSEARCHED)
         with _lock:
+            # A twin refutation at the root needs none of search's set-up.
+            if self._twin_mask and self._twin_failure(seq) is not None:
+                return _TWIN_REFUTED
             self._nodes = self._blocks = self._twins = self._mps = 0
             self._max_nodes = budget.max_nodes
             self._start = time.monotonic()
@@ -676,7 +681,8 @@ def prove_from(logic: Logic, assumptions: Iterable[Formula], f: Formula,
 def check(logic: Logic, d: Derivation) -> bool:
     """Forward-check every step of d against logic's calculus.
 
-    Each distinct node of the DAG is checked once.
+    Each distinct node of the DAG is checked once, and no sequent is
+    interned.
     """
     for node in d.steps():
         inst = RuleInstance(node.rule, node.conclusion,

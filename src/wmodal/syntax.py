@@ -3,6 +3,13 @@
 The connective set is atoms, bot, &, |, ->, [] and <>.  Derived forms
 (top, ~, <->) normalize at construction time, so the rest of the code
 only ever sees the seven primitive constructors.
+
+A text is parsed in one regex pass, which lists its tokens, and one loop
+over them, with no recursion (operator-precedence parsing: Dijkstra's
+shunting-yard, 1961; Pratt, "Top down operator precedence", POPL 1973).
+The loop keeps the prefixes, open parentheses and binary operators still
+waiting for their right operand on a stack, so nesting is bounded by
+memory alone.  Token positions are worked out only to report an error.
 """
 
 from __future__ import annotations
@@ -169,153 +176,140 @@ _UNICODE = {
 }
 
 # "|-" and "," only occur in sequents; "|-" is never part of a formula.
-_TOKEN_RE = re.compile(r"\s*(<->|->|\|-|\[\]|<>|[&|~(),%s]|[A-Za-z_][A-Za-z0-9_]*)"
-                       % "".join(_UNICODE))
-_INDEXED = re.compile(r"p[0-9]+")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = (r"<->|->|\|-|\[\]|<>|[&|~(),%s]|[A-Za-z_][A-Za-z0-9_]*"
+          % "".join(_UNICODE))
+# Every token of a text in one pass: "\S" takes a character that starts
+# no token, which fails the parse as an unexpected character.
+_TOKEN_RE = re.compile(r"\s*(%s|\S)" % _TOKEN)
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+# The stack entries of `_formula`: (level, constructor, left operand).
+# A binary operator, (level, threshold, constructor) in _INFIX, pops the
+# entries of at least its threshold level before it is pushed: & and |
+# are left-associative, -> is right-associative, and <-> binds loosest.
+# The right side of <-> is an or-level, so neither -> nor <-> follows a
+# pending <->: either ends the formula there.
+_IFF, _OPEN, _PREFIX_LEVEL = 0, -1, 4
+_BOTTOM = (-2, None, None)
+_INFIX = {"&": (3, 3, conj), "|": (2, 2, disj), "->": (1, 2, imp),
+          "<->": (_IFF, 2, iff)}
+# What a token in operand position pushes: a prefix, or "(".
+_PREFIX = {"[]": (_PREFIX_LEVEL, box, None), "<>": (_PREFIX_LEVEL, dia, None),
+           "~": (_PREFIX_LEVEL, neg, None), "(": (_OPEN, None, None)}
+_CONST = {"bot": bot, "top": top}
+for _alias, _tok in _UNICODE.items():
+    for _table in (_INFIX, _PREFIX, _CONST):
+        if _tok in _table:
+            _table[_alias] = _table[_tok]
 
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            rest = text[i:].lstrip()
-            if rest == "":
-                break
-            raise ParseError("unexpected character %r" % rest[0],
-                             len(text) - len(rest))
-        tok = m.group(1)
-        tokens.append((_UNICODE.get(tok, tok), m.start(1)))
-        i = m.end()
-    tokens.append((None, len(text)))
-    return tokens
-
-
-def _reserved(token_lists) -> set:
-    """The indices k written explicitly as p<k> in the token lists."""
-    return {int(t[1:]) for tokens in token_lists for t, _ in tokens
-            if t and _INDEXED.fullmatch(t)}
-
-
-class _Parser:
-    """Recursive descent over one token list.
-
-    Bare identifiers map to fresh indices in first-occurrence order, in
-    the name table names, skipping the indices in reserved.
-    """
-
-    def __init__(self, tokens, names: dict, reserved: set):
-        self.tokens = tokens
-        self.pos = 0
-        self.names = names
-        self.reserved = reserved
-
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, tok):
-        got, at = self.next()
-        if got != tok:
-            raise ParseError("expected %r, found %s" % (tok, _shown(got)), at)
-
-    def end(self):
-        tok, at = self.next()
-        if tok is not None:
-            raise ParseError("trailing input %r" % tok, at)
-
-    def fresh_index(self, name):
-        if name in self.names:
-            return self.names[name]
+def _index(name: str, texts, names: dict) -> int:
+    """The atom index of a bare name in the texts parsed together.  names
+    maps each bare name met so far to its index, and each index taken to
+    itself: the indices written p<k> in any of the texts, entered when the
+    first bare name appears, and those of the names."""
+    i = names.get(name)
+    if i is None:
+        if not names:
+            for text in texts:
+                for tok in _TOKEN_RE.findall(text):
+                    if tok[0] == "p" and tok[1:].isdigit():
+                        n = int(tok[1:])
+                        names[n] = n
         i = 1
-        taken = self.reserved | set(self.names.values())
-        while i in taken:
+        while i in names:
             i += 1
-        self.names[name] = i
-        return i
-
-    def side(self) -> tuple:
-        """A comma-separated, possibly empty, list of formulas."""
-        if self.peek() in ("|-", None):
-            return ()
-        fs = [self.formula()]
-        while self.peek() == ",":
-            self.next()
-            fs.append(self.formula())
-        return tuple(fs)
-
-    def formula(self) -> Formula:
-        lhs = self.or_level()
-        if self.peek() == "->":
-            self.next()
-            return imp(lhs, self.formula())
-        if self.peek() == "<->":
-            self.next()
-            return iff(lhs, self.or_level())
-        return lhs
-
-    def or_level(self) -> Formula:
-        f = self.and_level()
-        while self.peek() == "|":
-            self.next()
-            f = disj(f, self.and_level())
-        return f
-
-    def and_level(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "&":
-            self.next()
-            f = conj(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok, at = self.next()
-        if tok == "[]":
-            return box(self.unary())
-        if tok == "<>":
-            return dia(self.unary())
-        if tok == "~":
-            return neg(self.unary())
-        if tok == "(":
-            f = self.formula()
-            self.expect(")")
-            return f
-        if tok == "bot":
-            return bot
-        if tok == "top":
-            return top
-        if tok is not None and _INDEXED.fullmatch(tok):
-            i = int(tok[1:])
-            if i < 1:
-                raise ParseError("atom indices start at 1", at)
-            return atom(i)
-        if tok is not None and _NAME.fullmatch(tok):
-            return atom(self.fresh_index(tok))
-        raise ParseError("expected a formula, found %s" % _shown(tok), at)
+        names[name] = names[i] = i
+    return i
 
 
-def _shown(tok) -> str:
-    """A token as error messages name it; None ends every token list."""
-    return "end of input" if tok is None else repr(tok)
+def _fail(texts, k: int, j: int, message: str):
+    """Raise message, a %s in it naming token j of text k, at that token;
+    but first any unexpected character of the texts."""
+    for text in texts:
+        for m in _TOKEN_RE.finditer(text):
+            if not re.fullmatch(_TOKEN, m.group(1)):
+                raise ParseError("unexpected character %r" % m.group(1),
+                                 m.start(1))
+    text = texts[k]
+    tok, at = ([(m.group(1), m.start(1)) for m in _TOKEN_RE.finditer(text)]
+               + [(None, len(text))])[j]
+    if "%s" in message:
+        message %= ("end of input" if tok is None
+                    else repr(_UNICODE.get(tok, tok)))
+    raise ParseError(message, at)
+
+
+def _formula(tokens: list, i: int, texts, k: int, names: dict):
+    """The formula that starts at token i of tokens, those of texts[k]
+    ending in None, and the index of the token after it.  One loop reads
+    the tokens in turn, keeping the operators whose right operand is still
+    open on a stack.  names is the table of `_index`."""
+    stack = [_BOTTOM]
+    while True:
+        # An operand: prefixes and open parentheses, then an atom or a
+        # constant.
+        tok = tokens[i]
+        i += 1
+        entry = _PREFIX.get(tok)
+        if entry is not None:
+            stack.append(entry)
+            continue
+        f = _CONST.get(tok)
+        if f is None:
+            if tok is None or tok[0] not in _NAME_START:
+                _fail(texts, k, i - 1, "expected a formula, found %s")
+            if tok[0] == "p" and tok[1:].isdigit():
+                n = int(tok[1:])
+                if n < 1:
+                    _fail(texts, k, i - 1, "atom indices start at 1")
+                f = atom(n)
+            else:
+                f = atom(_index(tok, texts, names))
+        # After an operand: close what it completes, up to the next
+        # binary operator, which is pushed, or the end of the formula.
+        while True:
+            top = stack[-1]
+            while top[0] == _PREFIX_LEVEL:
+                stack.pop()
+                f = top[1](f)
+                top = stack[-1]
+            tok = tokens[i]
+            op = _INFIX.get(tok)
+            if op is not None:
+                level, threshold, make = op
+                while top[0] >= threshold:
+                    stack.pop()
+                    f = top[1](top[2], f)
+                    top = stack[-1]
+                if level > 1 or top[0] != _IFF:
+                    stack.append((level, make, f))
+                    i += 1
+                    break
+            while top[0] >= 0:
+                stack.pop()
+                f = top[1](top[2], f)
+                top = stack[-1]
+            if top[0] != _OPEN:
+                return f, i
+            if tok != ")":
+                _fail(texts, k, i, "expected ')', found %s")
+            stack.pop()
+            i += 1
 
 
 def parse_all(*texts: str) -> Tuple[Formula, ...]:
     """Parse formulas that share one name table: a bare identifier is the
     same atom in each of them, and p<k> anywhere reserves index k."""
-    token_lists = [_tokenize(t) for t in texts]
     names: dict = {}
-    reserved = _reserved(token_lists)
     out = []
-    for tokens in token_lists:
-        p = _Parser(tokens, names, reserved)
-        out.append(p.formula())
-        p.end()
+    for k, text in enumerate(texts):
+        tokens = _TOKEN_RE.findall(text)
+        tokens.append(None)
+        f, i = _formula(tokens, 0, texts, k, names)
+        if tokens[i] is not None:
+            _fail(texts, k, i, "trailing input %s")
+        out.append(f)
     return tuple(out)
 
 
@@ -327,13 +321,23 @@ def parse(text: str) -> Formula:
 def parse_sides(text: str) -> Tuple[Tuple[Formula, ...], Tuple[Formula, ...]]:
     """The two sides of "A1, A2 |- B" (either may be empty), parsed with
     one name table as in `parse_all`."""
-    tokens = _tokenize(text)
-    p = _Parser(tokens, {}, _reserved([tokens]))
-    ant = p.side()
-    p.expect("|-")
-    suc = p.side()
-    p.end()
-    return ant, suc
+    texts, names = (text,), {}
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append(None)
+    sides = ([], [])
+    i = 0
+    for side, stop, message in ((sides[0], "|-", "expected '|-', found %s"),
+                                (sides[1], None, "trailing input %s")):
+        if tokens[i] not in ("|-", None):
+            f, i = _formula(tokens, i, texts, 0, names)
+            side.append(f)
+            while tokens[i] == ",":
+                f, i = _formula(tokens, i + 1, texts, 0, names)
+                side.append(f)
+        if tokens[i] != stop:
+            _fail(texts, 0, i, message)
+        i += 1
+    return tuple(sides[0]), tuple(sides[1])
 
 
 # ---------------------------------------------------------------------------

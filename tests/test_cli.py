@@ -243,11 +243,20 @@ def test_deep_box_chain_decided():
     assert out.strip() == "non-theorem" and err == ""
 
 
+def test_deep_parentheses_parse():
+    # The parser keeps its own stack, so nesting costs it no recursion.
+    code, _, err, out = cli_limited("decide", "--logic", "K",
+                                    "(" * 30000 + "p1" + ")" * 30000)
+    assert (code, out, err) == (1, "non-theorem\n", "")
+
+
 def test_deep_input_exit_70_without_traceback():
+    # The formula parses; search then overflows the recursion limit.
     code, _, err, _ = cli_limited("decide", "--logic", "K",
-                                  "(" * 30000 + "p1" + ")" * 30000)
+                                  "~" * 110_000 + "p1")
     assert code == 70
     assert "Traceback" not in err and err.startswith("internal error: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_check_model_deep_document_exit_64(tmp_path):

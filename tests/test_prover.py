@@ -655,10 +655,28 @@ def test_identity_of_a_left_nested_implication_is_built_once(name):
     try:
         res = prove(logic, Sequent((d,), (d,), logic.mode),
                     Budget(max_nodes=1))
-        # Before check, which interns the premises it rebuilds.
         assert prover.cache_sizes()["sequents"] <= 3 * n + 1
         assert res.proved and check(logic, res.derivation)
         assert len(list(res.derivation.steps())) <= 3 * n + 1
+    finally:
+        prover.clear_caches()
+
+
+@pytest.mark.parametrize("name", ["K", "WK"])
+def test_check_interns_no_sequent(name):
+    # check compares the premises it rebuilds as sides: it interned 196
+    # sequents in WK, and 100 in K, that search never built.
+    n = 100
+    d = imp(p, p)
+    for _ in range(n - 1):
+        d = imp(d, p)
+    logic = get_logic(name)
+    prover.clear_caches()
+    try:
+        res = prove(logic, Sequent((d,), (d,), logic.mode))
+        before = prover.cache_sizes()["sequents"]
+        assert check(logic, res.derivation)
+        assert prover.cache_sizes()["sequents"] == before
     finally:
         prover.clear_caches()
 

@@ -93,6 +93,65 @@ def test_parse_error_has_position():
         pytest.fail("expected ParseError")
 
 
+@pytest.mark.parametrize("read, text, message, pos", [
+    # An unexpected character anywhere is reported before any other error.
+    (parse, "p1 & $", "unexpected character '$'", 5),
+    (parse, "◇p2 → 5", "unexpected character '5'", 6),
+    (parse, "(p1 $ p2", "unexpected character '$'", 4),
+    (parse, "p1 | (p2 & ) $", "unexpected character '$'", 13),
+    (parse, "p1 <- p2", "unexpected character '<'", 3),
+    (parse, "p1 p2", "trailing input 'p2'", 3),
+    (parse, "p1 )", "trailing input ')'", 3),
+    (parse, "p1 ⊤", "trailing input 'top'", 3),
+    (parse, "p1 <-> p2 <-> p3", "trailing input '<->'", 10),
+    (parse, "p1 -> p2 <-> p3 -> p1", "trailing input '->'", 16),
+    (parse, "(p1 p2", "expected ')', found 'p2'", 4),
+    (parse, "(p1 ∧ ⊤ ⊥", "expected ')', found 'bot'", 8),
+    (parse, "(p1 <-> p2 -> p3)", "expected ')', found '->'", 11),
+    (parse, "((p1)", "expected ')', found end of input", 5),
+    (parse, "& p1", "expected a formula, found '&'", 0),
+    (parse, "()", "expected a formula, found ')'", 1),
+    (parse, "p1 ∧", "expected a formula, found end of input", 4),
+    (parse, "p0", "atom indices start at 1", 0),
+    (parse, "[]p00", "atom indices start at 1", 2),
+    (syntax.parse_sides, "p1 p2 |- p3", "expected '|-', found 'p2'", 3),
+    (syntax.parse_sides, "p1 |- p2 |- p3", "trailing input '|-'", 9),
+    (syntax.parse_sides, "p1 |- p2, ", "expected a formula, found end of input",
+     10),
+    (syntax.parse_sides, ", p1 |-", "expected a formula, found ','", 0),
+    (syntax.parse_sides, "p1 |- )", "expected a formula, found ')'", 6),
+    (syntax.parse_sides, "p1 |- p2 $", "unexpected character '$'", 9),
+])
+def test_parse_error_message_and_position(read, text, message, pos):
+    with pytest.raises(ParseError) as e:
+        read(text)
+    assert (str(e.value), e.value.pos) == (
+        "%s (at position %d)" % (message, pos), pos)
+
+
+def test_unexpected_character_in_any_text_comes_first():
+    # parse_all reads every text's characters before any formula.
+    with pytest.raises(ParseError) as e:
+        syntax.parse_all("q ->", "p2 & $")
+    assert (str(e.value), e.value.pos) == (
+        "unexpected character '$' (at position 5)", 5)
+
+
+def test_leading_zeros_name_the_same_atom():
+    assert parse("p01 & p1") is conj(p1, p1)
+
+
+def test_parse_sides_shares_the_name_table():
+    assert syntax.parse_sides("q, p1 |- r") == ((atom(2), p1), (atom(3),))
+    assert syntax.parse_sides("|-") == ((), ())
+
+
+def test_reserved_indices_span_every_text():
+    # p1 and p2 are written out in the two texts, so q is atom 3 in both.
+    assert syntax.parse_all("q -> p1", "p2 & q") == (imp(atom(3), p1),
+                                                    conj(p2, atom(3)))
+
+
 # ---------------------------------------------------------------------------
 # Printing
 
@@ -125,6 +184,41 @@ def formulas(max_leaves=8):
 @given(formulas())
 def test_parse_render_roundtrip(f):
     assert parse(render(f)) is f
+
+
+# The tokens of the surface syntax, their unicode aliases, sequent
+# punctuation, and characters that start no token.
+_PIECES = ["p1", "p2", "p0", "p01", "q", "r", "bot", "top", "&", "|", "->",
+           "<->", "~", "[]", "<>", "(", ")", ",", "|-", "⊥", "⊤", "¬", "∧",
+           "∨", "→", "↔", "□", "◇", " ", "\t", "$", "5", "<", "-", "[", "]"]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
+def test_any_text_parses_or_raises_a_parse_error(text):
+    try:
+        f = parse(text)
+    except ParseError as e:
+        assert 0 <= e.pos <= len(text)
+    else:
+        assert parse(render(f)) is f
+
+
+def _nest(step, n):
+    f = p1
+    for _ in range(n):
+        f = step(f)
+    return f
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("(" * 100_000 + "p1" + ")" * 100_000, lambda: p1),
+    ("[]" * 100_000 + "p1", lambda: _nest(box, 100_000)),
+    (" -> ".join(["p1"] * 100_000), lambda: _nest(lambda f: imp(p1, f), 99_999)),
+])
+def test_deep_nesting_parses_without_recursion(text, expected):
+    # Compared apart, so that a failure does not print 100,000 levels.
+    same = parse(text) is expected()
+    assert same
 
 
 # ---------------------------------------------------------------------------
