@@ -6,13 +6,13 @@ alphabet) in every logic and searches each for a countermodel of at most
 --max-worlds worlds.  Per logic it reports the theorems, the
 non-theorems refuted at each number of worlds (by the smallest
 countermodel), the disagreements, the time and, of that time, the time
-spent in countermodel search.  A disagreement is a
-theorem with a countermodel, a non-theorem with none of at most
---max-worlds worlds, or a countermodel that does not verify (a preorder
-with a hereditary valuation, discrete in a classical model; conditions
-of the logic's class; f refuted at the world).  This is the operational
-check of the paper's claim that the calculi and the semantics give the
-same logics, on the small-formula space.
+spent in countermodel search.  A disagreement is a theorem with a
+countermodel, a non-theorem with none of at most --max-worlds worlds,
+or a countermodel that `semantics.is_countermodel` rejects (it checks a
+preorder with a hereditary valuation, discrete in a classical model; the
+conditions of the logic's class; f refuted at the world).  This is the
+operational check of the paper's claim that the calculi and the
+semantics give the same logics, on the small-formula space.
 
 Exit status 1 on any disagreement or budget overrun, else 0.
 
@@ -26,14 +26,6 @@ import time
 
 from wmodal import prover, sampling, semantics, syntax
 from wmodal.logics import LOGICS
-
-
-def well_formed(model) -> bool:
-    try:
-        model.validate()
-    except ValueError:
-        return False
-    return True
 
 
 def main() -> int:
@@ -89,9 +81,7 @@ def main() -> int:
                 refuted[model.n] += 1
                 if theorem:
                     wrong = "theorem with a countermodel"
-                elif (not well_formed(model)
-                      or not semantics.check_conditions(model, logic).ok
-                      or semantics.forces(model, world, f)):
+                elif not semantics.is_countermodel(logic, f, model, world):
                     wrong = "countermodel does not verify"
                 else:
                     wrong = None

@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 negative answer (not derivable / no
 countermodel / violations found), 2 budget exhausted, 64 usage or parse
-errors, 70 internal error (any other exception, or a proof that fails
-`prover.check`: one line on stderr, no traceback, never read as a
-negative answer), 74 standard output closed
-by its reader (nothing printed).  `--format structured`
-emits line-delimited JSON with a version field.
+errors, 70 internal error (any other exception, a proof that fails
+`prover.check` or a countermodel that fails `semantics.is_countermodel`:
+one line on stderr, no traceback, never read as a negative answer), 74
+standard output closed by its reader (nothing printed).  `--format
+structured` emits line-delimited JSON with a version field.
 """
 
 from __future__ import annotations
@@ -49,10 +49,9 @@ class _Out:
 
 
 def _stats_doc(stats):
-    """The search counts of a prove or decide record."""
-    return {"nodes": stats.nodes, "loop_blocks": stats.loop_blocks,
-            "twin_refutations": stats.twin_refutations,
-            "mp_commits": stats.mp_commits}
+    """The search counts of a prove or decide record: every field of
+    `SearchStats` but the time."""
+    return {k: v for k, v in stats._asdict().items() if k != "elapsed"}
 
 
 def _derivation_doc(d):
@@ -158,6 +157,9 @@ def cmd_countermodel(args, out):
                  "none up to size %d" % args.max_worlds)
         return EX_NEGATIVE
     model, world = found
+    if not semantics.is_countermodel(logic, f, model, world):
+        raise RuntimeError("countermodel of %s fails its check"
+                           % syntax.render(f))
     doc = semantics.model_to_json(model)
     out.emit({"command": "countermodel", "logic": logic.name, "status": "found",
               "world": world, "model": json.loads(doc)},

@@ -29,20 +29,29 @@ from, for each neighbourhood a, the lane mask of the worlds whose family
 holds a.  A formula compiles into one program that `_run` runs over one
 lane for `extension` and over many for the enumeration, where on small
 frames the lanes also hold a block per valuation of the last atoms.
-Each frame class is set up once and kept (a _Plan), so a search
-costs little beside its runs of `_run`, usually one per order.
+A run covers a slice of the choices: every choice of the last worlds,
+for the fewest other worlds that leave at most 8,000 choices, but of no
+fewer than the last two worlds (see _Slices).
+
+Each frame class (frame conditions and a world count) is set up once
+for both kinds of model (a _Plan), and kept below 4 worlds, so a search
+costs little beside its runs of `_run`, usually one per order.  Its
+orders are `_preorders(n)`, the discrete order first: a constructive
+search runs them all, and a classical search, being the constructive
+one on the discrete order, runs the first alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import re
 import time
 from collections import defaultdict
 from functools import cache, lru_cache
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .logics import Logic
 from .prover import Budget, BudgetExceeded
@@ -59,13 +68,6 @@ MAX_WORLDS = 4
 
 def _bits(mask: int) -> List[int]:
     return [w for w in range(mask.bit_length()) if mask >> w & 1]
-
-
-def _mask(worlds: Iterable[int]) -> int:
-    m = 0
-    for w in worlds:
-        m |= 1 << w
-    return m
 
 
 def _discrete(n: int) -> Tuple[int, ...]:
@@ -210,17 +212,25 @@ def _run(program, ext: list, full: int, up, local) -> list:
     return ext
 
 
+def _holders(neigh, one: int, mem=()) -> dict:
+    """Per neighbourhood, the lane mask of the worlds whose family holds
+    it: those of mem, and worlds 0, 1, ... of each lane of one, whose
+    families are neigh."""
+    mem = dict(mem)
+    for w, fam in enumerate(neigh):
+        for a in fam:
+            mem[a] = mem.get(a, 0) | one << w
+    return mem
+
+
 def extension(model, f: Formula) -> int:
     """Mask of worlds forcing f: _run over a single lane."""
     atoms, program, modal = _program(f)
     val = dict(model.val)
     ext = [val.get(a, 0) for a in atoms] + [0] * len(program)
-    mem: Dict[int, int] = {}
-    for w, fam in enumerate(model.neigh if modal else ()):
-        for a in fam:
-            mem[a] = mem.get(a, 0) | 1 << w
-    tests = [(a, a, _bits(a), m) for a, m in mem.items()]
-    local = _lane_local(model.full, 1, tests) if modal else None
+    local = _lane_local(model.full, 1, [
+        (a, a, _bits(a), m) for a, m in _holders(model.neigh, 1).items()
+    ]) if modal else None
     return _run(program, ext, model.full, _lane_up(model.succ, 1), local)[-1]
 
 
@@ -276,6 +286,17 @@ def check_conditions(model, logic: Logic) -> ConditionReport:
     return ConditionReport(required, status, witnesses)
 
 
+def is_countermodel(logic: Logic, f: Formula, model, world: int) -> bool:
+    """Whether (model, world) is a checked countermodel of f in logic: the
+    model passes `Model.validate` and `check_conditions`, and world is one
+    of its worlds that does not force f."""
+    try:
+        model.validate()
+        return check_conditions(model, logic).ok and not forces(model, world, f)
+    except ValueError:
+        return False
+
+
 # ---------------------------------------------------------------------------
 # Random models
 
@@ -290,8 +311,7 @@ def random_model(logic: Logic, max_worlds: int, seed: int):
                          % (MAX_WORLDS, max_worlds))
     rng = random.Random(seed)
     n = rng.randint(1, max_worlds)
-    succ = rng.choice(_preorders(n) if logic.mode == CONSTRUCTIVE
-                      else (_discrete(n),))
+    succ = rng.choice(_preorders(n)[:1 if logic.mode == CLASSICAL else None])
     neigh = tuple(rng.choice(_families(n, logic.conditions, w))
                   for w in range(n))
     val = tuple((a, rng.choice(_upsets(succ))) for a in (1, 2, 3))
@@ -334,7 +354,8 @@ def _families(n: int, conds, w: int) -> Tuple[Tuple[int, ...], ...]:
 
 @cache
 def _preorders(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """All preorders on 0..n-1 as successor-mask tuples."""
+    """All preorders on 0..n-1 as successor-mask tuples, the discrete
+    order first."""
     pairs = [(w, v) for w in range(n) for v in range(n) if w != v]
     out = []
     for bits in range(1 << len(pairs)):
@@ -355,20 +376,29 @@ def _upsets(succ) -> Tuple[int, ...]:
     return tuple(m for m in range(1 << len(succ)) if up(m) == m)
 
 
+# The lanes of the largest 3-world slice (20^3 choices): a run fills at
+# most this many with valuation blocks times choices, and a slice of
+# more worlds holds at most this many choices unless it holds only two.
+_LANES = 8000
+
+
 class _Slices:
     """The neighbourhood choices over n worlds, cut into slices that one
     run of _run covers, one choice per lane.  A slice is every choice for
     the worlds from k on, in product order, under one choice for the
-    worlds before k (its prefix): k is 0, one slice of at most 20^3 =
-    8,000 lanes, below MAX_WORLDS, and n - 2 at MAX_WORLDS.  Without a
-    modal subformula the neighbourhoods do not matter, and the first
-    choice stands for them all."""
+    worlds before k (its prefix).  k is the fewest prefix worlds that
+    leave at most _LANES choices in a slice, but never more than n - 2:
+    so 0 below 4 worlds, where a world has at most 20 families, and at 4
+    worlds 1 for the T-logics (19 or 20 families a world) and 2 for the
+    rest.  Without a modal subformula the neighbourhoods do not matter,
+    and the first choice stands for them all."""
 
     def __init__(self, n: int, conds, modal: bool):
-        fams = [_families(n, conds, w) for w in range(n)]
-        k = n - 2 if modal and n >= MAX_WORLDS else 0
-        if not modal:
-            fams = [fs[:1] for fs in fams]
+        fams = [_families(n, conds, w)[:None if modal else 1]
+                for w in range(n)]
+        k = 0
+        while k < n - 2 and math.prod(map(len, fams[k:])) > _LANES:
+            k += 1
         self.full = (1 << n) - 1
         self.prefixes = tuple(itertools.product(*fams[:k]))
         self.choices = tuple(itertools.product(*fams[k:]))
@@ -393,11 +423,8 @@ class _Slices:
         table is kept, one per block count."""
         table = self.tables.get(blocks)     # filled only when prefix is ()
         if table is None:
-            mem = dict(self.sliced)
-            for w, fam in enumerate(prefix):
-                for a in fam:
-                    mem[a] = mem.get(a, 0) | self.one << w
-            tests = [(*self.spread[a], m) for a, m in mem.items()]
+            tests = [(*self.spread[a], m) for a, m in
+                     _holders(prefix, self.one, self.sliced).items()]
             one = self.one
             if blocks > 1:
                 rep = _repeat(self.width, blocks)
@@ -410,13 +437,9 @@ class _Slices:
         return table
 
 
-# Kept below MAX_WORLDS worlds only: a 4-world slicing holds about 4 MB and
-# takes 0.1 s to build, little beside a valuation's 28,224 runs of _run.
+# Kept below MAX_WORLDS worlds only: a 4-world slicing of M holds about 4 MB
+# and takes 0.1 s to build, little beside a valuation's 28,224 runs of _run.
 _kept_slices = cache(_Slices)
-
-
-def _slices(n: int, conds, modal: bool) -> _Slices:
-    return (_kept_slices if n < MAX_WORLDS else _Slices)(n, conds, modal)
 
 
 def _pack(values: List[int], n: int) -> int:
@@ -431,16 +454,15 @@ def _repeat(width: int, count: int) -> int:
     return ((1 << width * count) - 1) // ((1 << width) - 1)
 
 
-# The lanes of the largest 3-world slice (20^3 choices): a run fills at
-# most this many with valuation blocks times choices.
-_LANES = 8000
-
-
 class _Plan:
-    """What enumerate_countermodel sets up for a frame class and k atoms:
-    the slice and, per order in turn, (succ, its up-sets, the lanes of a
-    run and their `one`, up over them, local with one slice or else None,
-    the lane masks of the last j atoms' values).
+    """What enumerate_countermodel sets up for a frame class, given its
+    slices over n worlds, and k atoms: the slices and, per order of
+    `_preorders(n)` in turn, (succ, its up-sets, the lanes of a run and
+    their `one`, up over them, local with one slice or else None, the
+    lane masks of the last j atoms' values).  A classical model is the
+    constructive model on the discrete order, the first, so one plan
+    serves both kinds: a constructive search runs every order, a
+    classical one the first alone.
 
     With one slice, the values of the last j atoms are spread over the
     lanes too: block i of the lanes holds the slice under the i-th
@@ -448,12 +470,11 @@ class _Plan:
     with blocks x choices <= _LANES.  k itself is lowered to the most
     atoms any order of the class fits."""
 
-    def __init__(self, mode, conds, n: int, modal: bool, k: int):
-        self.slices = _slices(n, conds, modal)
+    def __init__(self, slices: _Slices, n: int, k: int):
+        self.slices = slices
         # the fewest up-sets: 2 where every world sees every other
-        self.k = self._fit(2 if mode == CONSTRUCTIVE else 1 << n, k)
-        self.orders = map(self._order, _preorders(n) if mode == CONSTRUCTIVE
-                          else (_discrete(n),))
+        self.k = self._fit(2, k)
+        self.orders = map(self._order, _preorders(n))
 
     def _fit(self, upsets: int, k: int) -> int:
         """How many of k atoms of upsets values each fit in the lanes:
@@ -485,10 +506,10 @@ class _Plan:
 # Kept below MAX_WORLDS worlds only, with every order set up.  At 4 worlds
 # the search sets each order up as it reaches it (WM's 355 take 0.05 s).
 @cache
-def _kept_plan(mode, conds, n: int, modal: bool, k: int) -> _Plan:
-    plan = _Plan(mode, conds, n, modal, k)
+def _kept_plan(conds, n: int, modal: bool, k: int) -> _Plan:
+    plan = _Plan(_kept_slices(n, conds, modal), n, k)
     if plan.k < k:                  # one plan for every k past those that fit
-        return _kept_plan(mode, conds, n, modal, plan.k)
+        return _kept_plan(conds, n, modal, plan.k)
     plan.orders = tuple(plan.orders)
     return plan
 
@@ -521,8 +542,8 @@ def enumerate_countermodel(logic: Logic, f: Formula, max_worlds: int = 3,
         if n > MAX_WORLDS:
             raise BudgetExceeded("more than %d worlds" % MAX_WORLDS, tried,
                                  time.monotonic() - start)
-        plan = (_kept_plan if n < MAX_WORLDS else _Plan)(
-            logic.mode, logic.conditions, n, modal, k)
+        plan = _kept_plan(logic.conditions, n, modal, k) if n < MAX_WORLDS \
+            else _Plan(_Slices(n, logic.conditions, modal), n, k)
         sl = plan.slices
         for succ, upsets, lanes, one, up, local, spread in plan.orders:
             every = sl.full * one
@@ -538,12 +559,13 @@ def enumerate_countermodel(logic: Logic, f: Formula, max_worlds: int = 3,
                              local or sl.local(prefix))[-1]
                     if m != every:  # every: bits 0 to lanes*n-1
                         lane, world = divmod((m ^ (m + 1)).bit_length() - 1, n)
-                        shift = lane * n
-                        val = tuple([(a, ext[i] >> shift & sl.full)
+                        val = tuple([(a, ext[i] >> lane * n & sl.full)
                                      for i, a in enumerate(atoms)])
                         return Model(logic.mode, n, succ, prefix + sl.choices[
                             lane % len(sl.choices)], val), world
                     tried += lanes
+            if logic.mode == CLASSICAL:     # the discrete order alone
+                break
     return None
 
 
@@ -575,7 +597,7 @@ def _typed(value, kind, what: str):
 def _world_set(ws, n: int, what: str) -> int:
     if not all(type(w) is int and 0 <= w < n for w in _typed(ws, list, what)):
         raise ValueError("%s must hold worlds 0..%d only" % (what, n - 1))
-    return _mask(ws)
+    return sum({1 << w for w in ws})
 
 
 # A model document nests no deeper than neighbourhoods -> world -> family

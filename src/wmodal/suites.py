@@ -94,30 +94,26 @@ def structural_suite(logic: Logic, count: int, seed: int,
             if not prover.prove(logic, wk_suc).proved:
                 bad.append("weakening-right failed: %s [%s seed=%d#%d]"
                            % (seq, logic.name, seed, i))
+        if not seq.ant:
+            continue
         # contraction: A & A in place of an antecedent formula A, so that
         # Land's premise holds A twice (a `Sequent` would drop a plain copy)
-        if seq.ant:
-            a = rng.choice(seq.ant)
-            dup = Sequent(tuple(syntax.conj(a, a) if f is a else f
-                                for f in seq.ant), seq.suc, seq.mode)
-            if not prover.prove(logic, dup).proved:
-                bad.append("contraction failed: %s [%s seed=%d#%d]"
-                           % (dup, logic.name, seed, i))
-        # cut: from Γ ⇒ Δ (with A ∈ Δ) and A,Γ' ⇒ A conclude Γ,Γ' ⇒ Δ
-        if seq.suc:
-            a = seq.suc[0]
-            ctx = tuple(sampling.random_formula(rng, rng.randint(1, size),
-                                                num_atoms)
-                        for _ in range(rng.randint(0, 2)))
-            right = Sequent((a,) + ctx, (a,), seq.mode)
-            if not prover.prove(logic, right).proved:
-                bad.append("cut right premise failed: %s [%s seed=%d#%d]"
-                           % (right, logic.name, seed, i))
-                continue
-            cut = Sequent(seq.ant + ctx, seq.suc, seq.mode)
+        a = rng.choice(seq.ant)
+        dup = Sequent(tuple(syntax.conj(a, a) if f is a else f
+                            for f in seq.ant), seq.suc, seq.mode)
+        if not prover.prove(logic, dup).proved:
+            bad.append("contraction failed: %s [%s seed=%d#%d]"
+                       % (dup, logic.name, seed, i))
+        # cut on the same A: from Γ, A ⇒ Δ and Γ ⇒ A (Γ ⇒ Δ, A in
+        # classical mode) conclude Γ ⇒ Δ
+        rest = tuple(f for f in seq.ant if f is not a)
+        left = Sequent(rest, (a, *seq.suc) if logic.mode == CLASSICAL
+                       else (a,), seq.mode)
+        if prover.prove(logic, left).proved:
+            cut = Sequent(rest, seq.suc, seq.mode)
             if not prover.prove(logic, cut).proved:
-                bad.append("cut failed: %s | %s [%s seed=%d#%d]"
-                           % (seq, cut, logic.name, seed, i))
+                bad.append("cut failed: %s and %s | %s [%s seed=%d#%d]"
+                           % (seq, left, cut, logic.name, seed, i))
     return bad
 
 

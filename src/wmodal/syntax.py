@@ -211,16 +211,24 @@ def _index(name: str, texts, names: dict) -> int:
     i = names.get(name)
     if i is None:
         if not names:
-            for text in texts:
-                for tok in _TOKEN_RE.findall(text):
+            for t, text in enumerate(texts):
+                for j, tok in enumerate(_TOKEN_RE.findall(text)):
                     if tok[0] == "p" and tok[1:].isdigit():
-                        n = int(tok[1:])
+                        n = _atom_index(tok, texts, t, j)
                         names[n] = n
         i = 1
         while i in names:
             i += 1
         names[name] = names[i] = i
     return i
+
+
+def _atom_index(tok: str, texts, k: int, j: int) -> int:
+    """The index of the atom written tok, token j of texts[k]."""
+    try:
+        return int(tok[1:])
+    except ValueError:          # past CPython's limit on int() of a string
+        _fail(texts, k, j, "atom index too long")
 
 
 def _fail(texts, k: int, j: int, message: str):
@@ -260,7 +268,7 @@ def _formula(tokens: list, i: int, texts, k: int, names: dict):
             if tok is None or tok[0] not in _NAME_START:
                 _fail(texts, k, i - 1, "expected a formula, found %s")
             if tok[0] == "p" and tok[1:].isdigit():
-                n = int(tok[1:])
+                n = _atom_index(tok, texts, k, i - 1)
                 if n < 1:
                     _fail(texts, k, i - 1, "atom indices start at 1")
                 f = atom(n)

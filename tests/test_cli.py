@@ -152,6 +152,23 @@ def test_structured_results_count_nodes_and_loop_blocks(capsys):
         prover.clear_caches()
 
 
+@pytest.mark.parametrize("argv", [
+    ["prove", "--logic", "WK", "[]p1 -> []p1"],
+    ["prove", "--logic", "WK", "[]p1 |- p1"],
+    ["decide", "--logic", "K", "[]p1 -> p1"],
+])
+def test_structured_records_hold_every_search_count(capsys, argv):
+    # Every field of SearchStats but the time, so a new counter needs no
+    # edit of the CLI.
+    code, out = run(capsys, *argv, "--format", "structured")
+    (rec,) = structured_lines(out)
+    counts = [k for k in prover.SearchStats._fields if k != "elapsed"]
+    assert all(type(rec[k]) is int for k in counts)
+    assert "elapsed" not in rec
+    assert set(rec) - set(counts) <= {"command", "logic", "status", "version",
+                                      "formula", "derivation"}
+
+
 def test_decide_exit_codes(capsys):
     assert run(capsys, "decide", "--logic", "WMN", "[]top")[0] == 0
     assert run(capsys, "decide", "--logic", "WM", "[]top")[0] == 1
@@ -289,6 +306,31 @@ def test_derivation_failing_check_exit_70(capsys, monkeypatch, argv):
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_countermodel_failing_check_exit_70(capsys, monkeypatch, fmt):
+    # As a derivation that fails check: the witness is not printed.
+    monkeypatch.setattr(semantics, "is_countermodel", lambda *args: False)
+    assert cli.main(["countermodel", "--logic", "WM", "--format", fmt,
+                     "[]p1 -> p1"]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_countermodel_prints_a_checked_witness(capsys, monkeypatch):
+    checked = []
+    real = semantics.is_countermodel
+    monkeypatch.setattr(semantics, "is_countermodel",
+                        lambda *args: checked.append(args) or real(*args))
+    code, out = run(capsys, "countermodel", "--logic", "WM", "[]p1 -> p1")
+    assert code == 0 and out.startswith("refuting world: ")
+    ((logic, f, model, world),) = checked
+    assert (logic.name, syntax.render(f)) == ("WM", "[]p1 -> p1")
+    assert out == "refuting world: %d\nmodel: %s\n" % (
+        world, semantics.model_to_json(model))
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
@@ -454,6 +496,12 @@ def test_fuzz_negative_count_exit_64(capsys):
 
 def test_parse_error_exit_64(capsys):
     assert run(capsys, "decide", "--logic", "WM", "p1 ->")[0] == 64
+
+
+def test_oversized_atom_index_exit_64_with_position(capsys):
+    assert cli.main(["decide", "--logic", "K", "p" + "1" * 5000]) == 64
+    assert capsys.readouterr().err == \
+        "error: atom index too long (at position 0)\n"
 
 
 def test_unknown_logic_exit_64(capsys):

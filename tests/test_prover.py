@@ -11,7 +11,7 @@ from wmodal import calculus, prover, sampling, sequents
 from wmodal.logics import LOGICS, get_logic, instantiate_axiom
 from wmodal.prover import Budget, BudgetExceeded, Derivation, check, decide, \
     prove, prove_from
-from wmodal.sequents import CONSTRUCTIVE, Sequent, parse_sequent
+from wmodal.sequents import CLASSICAL, CONSTRUCTIVE, Sequent, parse_sequent
 from wmodal.syntax import atom, bot, box, conj, dia, disj, imp, neg, parse
 
 from test_sequents import _formulas_with_sharing
@@ -742,6 +742,40 @@ def test_contraction_probe_proves_a_doubled_conjunction(monkeypatch):
     monkeypatch.setattr(prover, "prove", no_doubled)
     bad = suites.structural_suite(get_logic("WK"), 5, seed=3)
     assert any(b.startswith("contraction failed") for b in bad)
+
+
+@pytest.mark.parametrize("name", ["WK", "K"])
+def test_cut_probe_cuts_an_antecedent_formula(monkeypatch, name):
+    # For a sampled derivable Γ, A ⇒ Δ the probe proves Γ ⇒ A (Γ ⇒ Δ, A
+    # classically) and, where that holds, the cut's conclusion Γ ⇒ Δ.
+    from wmodal import suites
+    sampled, proved = [], {}
+    real_sample, real_prove = sampling.sample_derivable_sequent, prover.prove
+
+    def sample(*args):
+        sampled.append(real_sample(*args))
+        return sampled[-1]
+
+    def prove(logic, seq, *args):
+        res = real_prove(logic, seq, *args)
+        proved[seq] = res.proved
+        return res
+
+    monkeypatch.setattr(sampling, "sample_derivable_sequent", sample)
+    monkeypatch.setattr(prover, "prove", prove)
+    logic = get_logic(name)
+    assert suites.structural_suite(logic, 30, seed=3) == []
+    cuts = 0
+    for seq in sampled:
+        for a in seq.ant:
+            rest = [f for f in seq.ant if f is not a]
+            left = Sequent(rest, (a, *seq.suc) if logic.mode == CLASSICAL
+                           else (a,), seq.mode)
+            cut = Sequent(rest, seq.suc, seq.mode)
+            if proved.get(left) and cut in proved:
+                assert proved[cut]
+                cuts += 1
+    assert cuts >= 10
 
 
 def test_disjunction_property_spot():

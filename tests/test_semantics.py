@@ -403,6 +403,41 @@ def test_countermodel_witnesses_unchanged_at_3_worlds():
         "e3e008e9bf707fb9a67eeb0dfb0bf27637318b398585af0f28803182152fb196"
 
 
+# Refuted only at a world that has a neighbourhood, every one of which
+# meets four pairwise disjoint sets of worlds: so in no model of fewer
+# than 4 worlds.  In K it is ROADMAP item 2's 4-world example.
+NEEDS_4_WORLDS = parse("[]top & <>(p1 & ~p2 & ~p3) & <>(p2 & ~p1 & ~p3)"
+                       " & <>(p3 & ~p1 & ~p2) & <>(~p1 & ~p2 & ~p3) -> bot")
+T_LOGICS = ["KT", "MCT", "MNT", "MT", "WKT", "WMCT", "WMNT", "WMT"]
+
+
+def test_countermodel_witnesses_unchanged_at_4_worlds():
+    # Digest of the witnesses of 4-world searches, from before one frame
+    # class's plan served both kinds of model and the 4-world slices of
+    # the T-logics grew from 2 worlds to 3: the K example in KT and WKT,
+    # and in each T-logic a seeded non-theorem NEEDS_4_WORLDS | r.
+    # Theorems are left out: their searches are exhaustive at 4 worlds.
+    k_example = parse("<>(p1 & ~p2 & ~p3) & <>(p2 & ~p1 & ~p3)"
+                      " & <>(p3 & ~p1 & ~p2) & <>(~p1 & ~p2 & ~p3) -> bot")
+    searches = [("KT", k_example), ("WKT", k_example)]
+    rng = random.Random(4)
+    for name in T_LOGICS:
+        while True:
+            f = syntax.disj(NEEDS_4_WORLDS,
+                            sampling.random_formula(rng, rng.randint(1, 5), 3))
+            if not prover.decide(LOGICS[name], f):
+                break
+        searches.append((name, f))
+    h = hashlib.sha256()
+    for name, f in searches:
+        hit = enumerate_countermodel(LOGICS[name], f, 4)
+        assert hit is not None and hit[0].n == 4
+        h.update(("%s\t%s\t%s\n" % (name, syntax.render(f),
+                                    witness_doc(hit))).encode())
+    assert h.hexdigest() == \
+        "dfbb05536f64e09cf5bff7c32d34ea7ee701e6440862271a2343a7faee25fc77"
+
+
 def test_discrete_order_up_is_the_identity():
     # Where no world has a proper successor, up over the lanes is a
     # builtin, so _run makes no Python call for it.
@@ -455,7 +490,7 @@ def test_lanes_agree_with_recursive_forcing():
         atoms, program, modal = semantics._program(f)
         n = rng.randint(1, 3)
         full = (1 << n) - 1
-        sl = semantics._slices(n, logic.conditions, modal)
+        sl = semantics._kept_slices(n, logic.conditions, modal)
         succ = rng.choice(semantics._preorders(n)
                           if logic.mode == CONSTRUCTIVE
                           else [semantics._discrete(n)])
@@ -473,11 +508,11 @@ def test_lanes_agree_with_recursive_forcing():
                 (model_to_json(model), syntax.render(f))
 
 
-@pytest.mark.parametrize("name", ["WM", "WMN", "M", "KT"])
+@pytest.mark.parametrize("name", ["WM", "WMN", "M", "KT", "WKT", "WMT"])
 def test_lanes_agree_with_recursive_forcing_at_4_worlds(name):
     # Only MAX_WORLDS worlds cut the choices into slices: one random
-    # prefix of the first two worlds, 200 evenly spaced lanes of the
-    # last two worlds' choices.
+    # prefix of the first two worlds (of the first world in the
+    # T-logics), 200 evenly spaced lanes of the other worlds' choices.
     rng = random.Random(name)
     logic = LOGICS[name]
     n = semantics.MAX_WORLDS
@@ -485,7 +520,7 @@ def test_lanes_agree_with_recursive_forcing_at_4_worlds(name):
     f = syntax.imp(box(sampling.random_formula(rng, 4, 2)),
                    dia(sampling.random_formula(rng, 4, 2)))
     atoms, program, modal = semantics._program(f)
-    sl = semantics._slices(n, logic.conditions, modal)
+    sl = semantics._Slices(n, logic.conditions, modal)
     assert len(sl.prefixes) > 1
     succ = rng.choice(semantics._preorders(n) if logic.mode == CONSTRUCTIVE
                       else [semantics._discrete(n)])
@@ -521,12 +556,13 @@ def test_lanes_of_valuation_blocks_agree_with_recursive_forcing(
     rng = random.Random(name + text)
     logic, f = LOGICS[name], parse(text)
     atoms, program, modal = semantics._program(f)
-    plan = semantics._kept_plan(logic.mode, logic.conditions, n, modal,
-                                len(atoms))
+    plan = semantics._kept_plan(logic.conditions, n, modal, len(atoms))
     sl = plan.slices
     full = (1 << n) - 1
     kept = set()
-    orders = rng.sample(plan.orders, min(4, len(plan.orders)))
+    # A classical search runs the first order, the discrete one, alone.
+    orders = plan.orders[:None if logic.mode == CONSTRUCTIVE else 1]
+    orders = rng.sample(orders, min(4, len(orders)))
     for succ, upsets, lanes, one, up, local, masks in orders:
         j = len(masks)
         kept.add(j)
@@ -549,15 +585,40 @@ def test_lanes_of_valuation_blocks_agree_with_recursive_forcing(
 
 
 def test_no_valuation_blocks_beside_several_slices():
-    # KT has 19 families per world at MAX_WORLDS, so 361 choices of the
-    # last two worlds per slice; blocks there would try a later prefix's
-    # choices before an earlier valuation's.
+    # KT has 19 families per world at MAX_WORLDS, so 19 prefixes of the
+    # first world and 6,859 choices of the last three per slice; blocks
+    # there would try a later prefix's choices before an earlier
+    # valuation's.
     kt = LOGICS["KT"]
-    plan = semantics._Plan(kt.mode, kt.conditions, semantics.MAX_WORLDS,
-                           True, 2)
-    assert len(plan.slices.prefixes) > 1 and len(plan.slices.choices) == 361
+    n = semantics.MAX_WORLDS
+    plan = semantics._Plan(semantics._Slices(n, kt.conditions, True), n, 2)
+    assert (len(plan.slices.prefixes), len(plan.slices.choices)) == \
+        (19, 6_859)
     assert plan.k == 0
-    assert [len(spread) for *_, spread in plan.orders] == [0]
+    assert {len(spread) for *_, spread in plan.orders} == {0}
+
+
+def test_preorders_start_with_the_discrete_order():
+    # So the first order of a plan is the one a classical search runs.
+    for n in range(1, semantics.MAX_WORLDS + 1):
+        assert semantics._preorders(n)[0] == semantics._discrete(n)
+
+
+@pytest.mark.parametrize("name, prefix_worlds", [
+    *((name, 2) for name in ["M", "MN", "MC", "K", "MD", "KD"]),
+    *((name, 1) for name in T_LOGICS)])
+def test_slices_leave_at_most_8000_choices_to_a_run(name, prefix_worlds):
+    # A slice holds the last worlds for the fewest prefix worlds that
+    # leave at most 8,000 choices, and never fewer than the last two.
+    conds = LOGICS[name].conditions
+    n = semantics.MAX_WORLDS
+    for worlds in range(1, n):
+        sl = semantics._kept_slices(worlds, conds, True)
+        assert sl.prefixes == ((),) and len(sl.choices) <= 8000
+    assert semantics._Slices(n, conds, False).prefixes == ((),)
+    sl = semantics._Slices(n, conds, True)
+    assert {len(prefix) for prefix in sl.prefixes} == {prefix_worlds}
+    assert len(sl.choices) <= 8000 or prefix_worlds == n - 2
 
 
 # Forced at every world of a 1-world model: refuting it takes two

@@ -137,6 +137,21 @@ def test_unexpected_character_in_any_text_comes_first():
         "unexpected character '$' (at position 5)", 5)
 
 
+@pytest.mark.parametrize("texts, pos", [
+    # Past CPython's 4,300-digit limit on int() of a string: read as the
+    # formula's own atom, and in the reservation of p<k> indices that a
+    # bare name in either text sets off.
+    (("p" + "1" * 5000,), 0),
+    (("q", "p" + "1" * 5000), 0),
+    (("p1 & q", "p2 | p" + "1" * 5000), 5),
+])
+def test_oversized_atom_index_is_a_parse_error(texts, pos):
+    with pytest.raises(ParseError) as e:
+        syntax.parse_all(*texts)
+    assert (str(e.value), e.value.pos) == (
+        "atom index too long (at position %d)" % pos, pos)
+
+
 def test_leading_zeros_name_the_same_atom():
     assert parse("p01 & p1") is conj(p1, p1)
 
