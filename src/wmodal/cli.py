@@ -149,8 +149,8 @@ def cmd_countermodel(args, out):
     from . import semantics
     logic = get_logic(args.logic)
     f = syntax.parse(args.input)
-    found = semantics.enumerate_countermodel(
-        logic, f, args.max_worlds, Budget(timeout_secs=args.timeout_secs))
+    found = semantics.enumerate_countermodel(logic, f, args.max_worlds,
+                                             args.timeout_secs)
     if found is None:
         out.emit({"command": "countermodel", "logic": logic.name,
                   "status": "none", "max_worlds": args.max_worlds},

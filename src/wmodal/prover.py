@@ -19,18 +19,20 @@ Two steps commit at once, and certify with the paper's rules alone:
   it holds on both sides, from the node and D, closes an atom by init,
   bot by Lbot, a propositional g by its rule on each side, the first on
   g at the sequent and the second on g in each premise, whose premises
-  each hold a component of g on both sides, and []A or <>A by the
-  logic's first rule without context whose instance at g |- g has the
-  one premise A |- A.  Every logic of the catalogue has one for each
+  each hold a component of g on both sides, and []A or <>A at the
+  sequent itself, which the rule takes as any context, by the logic's
+  first rule without context whose instance at g |- g has the one
+  premise A |- A.  Every logic of the catalogue has one for each
   modality: Mbox and Mdia, Cbox and Cdia, or Kbox and Kdia, and their
-  constructive rules.  That derivation of g |- g is kept on that
-  sequent, and any other sequent of a pair with g reuses its rule,
-  principals and premise, since the rule takes any context.  So the
-  node's derivation is D |- D's weakened to the node: the same rule on
-  the same principal at each step, with the node's context kept in
-  every premise of a contextual rule.  The step closes only derivable
-  nodes, with a derivation, and changes no verdict.  The derivation is
-  kept on the node, like any other, until `clear_caches`;
+  constructive rules.  Each sequent the loop meets, of a pair, a first
+  rule's premise or A |- A, is looked up first (`_stored`), and each
+  node it builds is kept on its sequent, like any derivation, until
+  `clear_caches`; so a proof has one node per sequent.  Where nothing
+  stored is reused, the node's derivation is D |- D's weakened to the
+  node: the same rule on the same principal at each step, with the
+  node's context kept in every premise of a contextual rule.  The step
+  closes only derivable nodes, with a derivation, and changes no
+  verdict;
 - modus ponens: a constructive node S = G |- D whose antecedent holds
   A -> B and A commits to constructive Limp on A -> B, once Lbot, init,
   Land and Lor do not apply, and before the succedent's rules would
@@ -166,7 +168,7 @@ from . import calculus, sequents, syntax
 from .calculus import RULES, RuleInstance, Shape
 from .logics import LOGICS, Logic
 from .sequents import CLASSICAL, CONSTRUCTIVE, Sequent
-from .syntax import AND, ATOM, BOT, BOX, DIA, IMP, OR, Formula
+from .syntax import AND, ATOM, BOT, IMP, OR, Formula
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
@@ -206,8 +208,7 @@ class Derivation:
     normalized when they are built.  mask holds the bit
     (`calculus.BITS`) of every rule it uses."""
 
-    __slots__ = ("rule", "conclusion", "principal", "children", "height",
-                 "mask")
+    __slots__ = ("rule", "conclusion", "principal", "children", "mask")
 
     def __init__(self, rule: str, conclusion: Sequent,
                  principal: Tuple[Formula, ...] = (),
@@ -216,11 +217,9 @@ class Derivation:
         self.conclusion = conclusion
         self.principal = principal
         self.children = children
-        height, mask = -1, calculus.BITS.get(rule, 0)
+        mask = calculus.BITS.get(rule, 0)
         for c in children:
-            height = max(height, c.height)
             mask |= c.mask
-        self.height = 1 + height
         self.mask = mask
 
     def __repr__(self):
@@ -548,9 +547,8 @@ class Engine:
                             break
                         kids.append(d)
                     else:
-                        d = Derivation(rule.name, seq, principal, tuple(kids))
-                        _set(seq, "found", seq.found + (d,))
-                        return d, None
+                        return self._derive(rule.name, seq, principal,
+                                            tuple(kids)), None
                     if commit:
                         # Committing to an unblocked instance of an
                         # invertible rule is complete; a pure failure of its
@@ -581,54 +579,57 @@ class Engine:
                 yield prems, principal
 
     def _closed(self, seq: Sequent, f: Formula) -> Derivation:
-        """A derivation of seq, which holds f, compound, on both sides,
-        kept on seq.  It is built in place in one loop over pairs of a
-        sequent and a formula g it holds on both sides, children before
-        parents, so a deep f takes no deep recursion (module docstring)."""
-        done: Dict[tuple, Derivation] = {}
+        """A derivation of seq, which holds f, compound, on both sides.  It
+        is built in place in one loop over pairs of a sequent and a formula
+        g it holds on both sides, children before parents, so a deep f
+        takes no deep recursion (module docstring).  Each sequent the loop
+        meets is looked up first (`_stored`), and each node it builds is
+        kept on its conclusion, so a proof has one node per sequent.  A
+        derivable sequent keeps no failure that serves this logic."""
+        proof = lambda q: (self._stored(q) or (None,))[0]
         todo = [(seq, f)]
         while todo:
-            q, g = pair = todo[-1]
-            if pair in done:
-                todo.pop()
+            q, g = todo.pop()
+            if proof(q) is not None:
                 continue
+            wait = []               # the pairs to close before q
             if g.kind in _AXIOM:
-                d = Derivation(_AXIOM[g.kind], q, (g,))
+                self._derive(_AXIOM[g.kind], q, (g,))
             elif g.kind in _ID_RULES:
                 first, second = _ID_RULES[g.kind]
                 parts = g.left, g.right
                 kids = []
                 for i, p in enumerate(_instance(first, q, g)[0]):
-                    prems, pr = _instance(second, p, g, parts[i])
-                    # One of i and j is 0: one rule has one premise.
-                    subs = [(r, parts[i + j]) for j, r in enumerate(prems)]
-                    todo += [s for s in subs if s not in done]
-                    kids.append((p, pr, subs))
-                if todo[-1] is not pair:
-                    continue
-                d = Derivation(first, q, (g,), tuple(
-                    Derivation(second, p, pr, tuple(map(done.get, subs)))
-                    for p, pr, subs in kids))
+                    d = proof(p)
+                    if d is None:
+                        prems, pr = _instance(second, p, g, parts[i])
+                        subs = tuple(map(proof, prems))
+                        # One of i and j is 0: one rule has one premise.
+                        wait += [(r, parts[i + j]) for j, r in enumerate(prems)
+                                 if subs[j] is None]
+                        if not wait:
+                            d = self._derive(second, p, pr, subs)
+                    kids.append(d)
+                if not wait:
+                    self._derive(first, q, (g,), tuple(kids))
             else:
-                ident = Sequent((g,), (g,), q.mode)
-                d = (self._stored(ident) or (None,))[0]
+                a = Sequent((g.left,), (g.left,), q.mode)
+                d = proof(a)
                 if d is None:
-                    a = Sequent((g.left,), (g.left,), q.mode), g.left
-                    if a not in done:
-                        todo.append(a)
-                        continue
-                    name, n = self._strips[g.kind]
-                    d = Derivation(name, ident, (g,) * n, (done[a],))
-                    _set(ident, "found", ident.found + (d,))
-                if q is not ident:
+                    wait.append((a, g.left))
+                else:
                     # A rule without context takes any context.
-                    d = Derivation(d.rule, q, d.principal, d.children)
-            done[pair] = d
-            todo.pop()
-        d = done[seq, f]
-        # A modal identity at f |- f is kept there already.
-        if d not in seq.found:
-            _set(seq, "found", seq.found + (d,))
+                    name, n = self._strips[g.kind]
+                    self._derive(name, q, (g,) * n, (d,))
+            if wait:
+                todo += [(q, g)] + wait
+        return proof(seq)
+
+    def _derive(self, rule: str, seq: Sequent, principal: Tuple[Formula, ...],
+                kids: Tuple[Derivation, ...] = ()) -> Derivation:
+        """A derivation of seq by rule from kids, kept on seq."""
+        d = Derivation(rule, seq, principal, kids)
+        _set(seq, "found", seq.found + (d,))
         return d
 
     def _fail(self, seq: Sequent, fitted: int, committed: int) -> Failure:

@@ -38,7 +38,8 @@ for both kinds of model (a _Plan), and kept below 4 worlds, so a search
 costs little beside its runs of `_run`, usually one per order.  Its
 orders are `_preorders(n)`, the discrete order first: a constructive
 search runs them all, and a classical search, being the constructive
-one on the discrete order, runs the first alone.
+one on the discrete order, runs the first alone.  An order is set up
+when a search first reaches it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from functools import cache, lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .logics import Logic
-from .prover import Budget, BudgetExceeded
+from .prover import DEFAULT_TIMEOUT_SECS, BudgetExceeded
 from .sequents import CLASSICAL, CONSTRUCTIVE
 from .syntax import AND, ATOM, BOT, BOX, DIA, IMP, OR, Formula, subformulas
 
@@ -454,15 +455,30 @@ def _repeat(width: int, count: int) -> int:
     return ((1 << width * count) - 1) // ((1 << width) - 1)
 
 
+class _Unset:
+    """An order of a plan not set up yet.  Unpacking it sets the order up
+    and puts it in its place, so the first search that reaches the order
+    pays for it, and the plan's orders stay a list a search iterates."""
+
+    def __init__(self, plan, i: int, succ):
+        self.plan, self.i, self.succ = plan, i, succ
+
+    def __iter__(self):
+        order = self.plan.orders[self.i] = self.plan._order(self.succ)
+        return iter(order)
+
+
 class _Plan:
     """What enumerate_countermodel sets up for a frame class, given its
     slices over n worlds, and k atoms: the slices and, per order of
     `_preorders(n)` in turn, (succ, its up-sets, the lanes of a run and
     their `one`, up over them, local with one slice or else None, the
-    lane masks of the last j atoms' values).  A classical model is the
-    constructive model on the discrete order, the first, so one plan
-    serves both kinds: a constructive search runs every order, a
-    classical one the first alone.
+    lane masks of the last j atoms' values), an _Unset until a search
+    first reaches it.  A classical model is the constructive model on
+    the discrete order, the first, so one plan serves both kinds: a
+    constructive search runs every order, a classical one the first
+    alone.  So a class that only classical logics search sets up its
+    discrete order and no other.
 
     With one slice, the values of the last j atoms are spread over the
     lanes too: block i of the lanes holds the slice under the i-th
@@ -474,7 +490,8 @@ class _Plan:
         self.slices = slices
         # the fewest up-sets: 2 where every world sees every other
         self.k = self._fit(2, k)
-        self.orders = map(self._order, _preorders(n))
+        self.orders = [_Unset(self, i, succ)
+                       for i, succ in enumerate(_preorders(n))]
 
     def _fit(self, upsets: int, k: int) -> int:
         """How many of k atoms of upsets values each fit in the lanes:
@@ -503,19 +520,18 @@ class _Plan:
         return succ, upsets, lanes, one, _lane_up(succ, one), local, spread
 
 
-# Kept below MAX_WORLDS worlds only, with every order set up.  At 4 worlds
-# the search sets each order up as it reaches it (WM's 355 take 0.05 s).
+# Kept below MAX_WORLDS worlds only.  A 4-world plan lives for one search
+# (setting up WM's 355 orders takes 0.05 s).
 @cache
 def _kept_plan(conds, n: int, modal: bool, k: int) -> _Plan:
     plan = _Plan(_kept_slices(n, conds, modal), n, k)
     if plan.k < k:                  # one plan for every k past those that fit
         return _kept_plan(conds, n, modal, plan.k)
-    plan.orders = tuple(plan.orders)
     return plan
 
 
 def enumerate_countermodel(logic: Logic, f: Formula, max_worlds: int = 3,
-                           budget: Budget = Budget()):
+                           timeout_secs: float = DEFAULT_TIMEOUT_SECS):
     """First (model, world) refuting f among all models of logic's class
     with at most max_worlds worlds, up to forcing equivalence; else None.
 
@@ -526,14 +542,14 @@ def enumerate_countermodel(logic: Logic, f: Formula, max_worlds: int = 3,
     the worlds it refutes is the first refuting valuation and choice of
     the run and their least world.
 
-    Raises BudgetExceeded, counting each model tried as a node, when
-    budget's time runs out or when the search would have to go past
+    Raises BudgetExceeded, whose nodes counts the models tried, when
+    timeout_secs run out or when the search would have to go past
     MAX_WORLDS worlds.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1, not %d" % max_worlds)
     start = time.monotonic()
-    deadline = start + budget.timeout_secs
+    deadline = start + timeout_secs
     tried = 0
     atoms, program, modal = _program(f)
     k = len(atoms)

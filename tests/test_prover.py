@@ -159,15 +159,6 @@ def test_check_rejects_non_closing_leaf():
     assert not check(get_logic("WMN"), d)
 
 
-def test_derivation_heights():
-    d = _tbox_derivation()
-    assert d.children[0].height == 0
-    assert d.height == 1
-    for node in d.steps():
-        assert node.height == 1 + max((c.height for c in node.children),
-                                      default=-1)
-
-
 def _shared_leaf_derivation():
     leaf = Derivation("init", Sequent((p,), (p,), CONSTRUCTIVE))
     mid = Derivation("Rand", Sequent((p,), (conj(p, p),), CONSTRUCTIVE),
@@ -658,6 +649,48 @@ def test_identity_of_a_left_nested_implication_is_built_once(name):
         assert prover.cache_sizes()["sequents"] <= 3 * n + 1
         assert res.proved and check(logic, res.derivation)
         assert len(list(res.derivation.steps())) <= 3 * n + 1
+    finally:
+        prover.clear_caches()
+
+
+def _conclusions(d):
+    """The distinct nodes of d, and their distinct conclusions."""
+    nodes = list(d.steps())
+    return len(nodes), len({node.conclusion for node in nodes})
+
+
+def test_proofs_of_size5_space_have_one_node_per_sequent():
+    # Each identity step keeps every node it builds on its sequent and
+    # looks each sequent up first, so no two nodes share a conclusion:
+    # 5,292 of these 45,152 proofs had two for some sequent.
+    fs = sampling.formulas_up_to_size(5, 2)
+    prover.clear_caches()
+    try:
+        repeated = []
+        for logic in LOGICS.values():
+            for f in fs:
+                for seq in (prover.goal(logic, f),
+                            Sequent((f,), (f,), logic.mode)):
+                    res = prove(logic, seq)
+                    if res.proved:
+                        nodes, sequents = _conclusions(res.derivation)
+                        if nodes != sequents:
+                            repeated.append((logic.name, str(seq)))
+        assert repeated == []
+    finally:
+        prover.clear_caches()
+
+
+def test_identity_steps_of_one_search_share_their_nodes():
+    # A later identity step rebuilt nodes an earlier one had built: the
+    # proof had 24 distinct nodes for 22 sequents, from 15 search nodes.
+    text = ("([]((p2 | (p2 -> p2)) -> (p2 | []p2)) -> "
+            "([](p2 | (p2 -> p2)) -> [](p2 | []p2)))")
+    try:
+        _, res = _prove_cold("MCD", text)
+        assert res.proved and check(get_logic("MCD"), res.derivation)
+        assert _conclusions(res.derivation) == (22, 22)
+        assert res.stats.nodes == 14
     finally:
         prover.clear_caches()
 

@@ -11,7 +11,7 @@ import pytest
 
 from wmodal import prover, sampling, semantics, syntax
 from wmodal.logics import LOGICS, get_logic
-from wmodal.prover import Budget, BudgetExceeded
+from wmodal.prover import BudgetExceeded
 from wmodal.semantics import (Model, check_conditions,
                               enumerate_countermodel, extension, forces,
                               model_from_json, model_to_json, random_model,
@@ -598,6 +598,26 @@ def test_no_valuation_blocks_beside_several_slices():
     assert {len(spread) for *_, spread in plan.orders} == {0}
 
 
+def test_classical_search_sets_up_the_discrete_order_alone():
+    # No constructive logic has the frame class of MD or of MCD (WMD and
+    # WMCD add P), so their plans set up only what classical searches
+    # reach: the discrete order, first, though a theorem tries them all.
+    semantics._kept_plan.cache_clear()
+    for name in ("MD", "MCD"):
+        logic = get_logic(name)
+        for text in ("p1 -> p1", "[]p1 -> <>p1", "[](p1 & p2) -> []p1",
+                     "[]p1 & []p2 -> [](p2 | p1)"):
+            f = parse(text)
+            assert enumerate_countermodel(logic, f, 3) is None
+            atoms, _, modal = semantics._program(f)
+            for n in (1, 2, 3):
+                plan = semantics._kept_plan(logic.conditions, n, modal,
+                                            len(atoms))
+                first, *rest = plan.orders
+                assert first.__class__ is tuple
+                assert all(o.__class__ is semantics._Unset for o in rest)
+
+
 def test_preorders_start_with_the_discrete_order():
     # So the first order of a plan is the one a classical search runs.
     for n in range(1, semantics.MAX_WORLDS + 1):
@@ -664,14 +684,14 @@ def test_countermodel_k_axiom_exhaustive_at_3_worlds(name):
     # Every 3-world model of the class is tried within 3 s.
     f = parse("[](p1 -> p2) -> ([]p1 -> []p2)")
     assert enumerate_countermodel(get_logic(name), f, 3,
-                                  Budget(timeout_secs=3)) is None
+                                  timeout_secs=3) is None
 
 
 def test_countermodel_search_honours_timeout():
     # 168 families per world at 4 worlds: the product has 8e8 choices.
     with pytest.raises(BudgetExceeded) as e:
         enumerate_countermodel(get_logic("M"), parse("[]p1 -> []p1"), 4,
-                               Budget(timeout_secs=0.2))
+                               timeout_secs=0.2)
     assert e.value.reason == "timeout"
 
 

@@ -229,7 +229,7 @@ def _nest(step, n):
     ("(" * 100_000 + "p1" + ")" * 100_000, lambda: p1),
     ("[]" * 100_000 + "p1", lambda: _nest(box, 100_000)),
     (" -> ".join(["p1"] * 100_000), lambda: _nest(lambda f: imp(p1, f), 99_999)),
-])
+], ids=["parentheses", "boxes", "arrows"])
 def test_deep_nesting_parses_without_recursion(text, expected):
     # Compared apart, so that a failure does not print 100,000 levels.
     same = parse(text) is expected()
